@@ -9,10 +9,10 @@
 
 use dpclustx::eval::mae;
 use dpclustx::quality::score::Weights;
-use dpx_bench::parallel::{default_threads, ordered_parallel_map};
 use dpx_bench::table::{fmt4, mean, Table};
 use dpx_bench::{methods_for, Args, DatasetKind, ExperimentContext, Explainer};
 use dpx_clustering::ClusteringMethod;
+use dpx_runtime::{default_threads, ordered_parallel_map};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

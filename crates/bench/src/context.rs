@@ -44,7 +44,7 @@ impl ExperimentContext {
     /// kernel — bit-identical to the serial build, so prepared-counts
     /// experiments are unaffected by the machine's core count.
     pub fn from_parts(data: Dataset, labels: Vec<usize>, n_clusters: usize) -> Self {
-        let threads = dpclustx::parallel::default_threads(data.n_rows());
+        let threads = dpx_runtime::default_threads(data.n_rows());
         let counts = ClusteredCounts::build_parallel(&data, &labels, n_clusters, threads);
         let st = ScoreTable::from_clustered_counts(&counts);
         ExperimentContext {

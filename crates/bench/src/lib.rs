@@ -15,11 +15,6 @@ pub mod explainers;
 pub mod json;
 pub mod table;
 
-/// Ordered parallel map, re-exported from the core crate. The helper used to
-/// live here; the staged engine promoted it to `dpclustx::parallel` so the
-/// pipeline stages and the sweep binaries share one implementation.
-pub use dpclustx::parallel;
-
 pub use args::Args;
 pub use context::ExperimentContext;
 pub use counts_ablation::{run_counts_ablation, CountsAblation, CountsTiming};

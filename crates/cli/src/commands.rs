@@ -7,7 +7,6 @@ use dpclustx::counts::ScoreTable;
 use dpclustx::engine::{CollectingObserver, ExplainEngine, NoopObserver};
 use dpclustx::eval::{mae, QualityEvaluator};
 use dpclustx::framework::{DpClustX, DpClustXConfig};
-use dpclustx::parallel::default_threads;
 use dpclustx::stage1::rank_attributes;
 use dpclustx::text;
 use dpx_clustering::ClusteringMethod;
@@ -16,6 +15,7 @@ use dpx_data::csv::{read_csv, write_csv};
 use dpx_data::schema_io::{read_schema, write_schema};
 use dpx_data::synth;
 use dpx_data::Dataset;
+use dpx_runtime::default_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
@@ -467,12 +467,13 @@ fn serve_batch<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError
         .filter(|r| !kept_ids.contains(&r.id))
         .collect();
 
-    let opts = BatchOptions {
-        deadline_ms,
-        granted,
-        checkpoint_every,
-    };
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(workers);
+    let service = ExplainService::new(Arc::clone(&registry))
+        .with_workers(workers)
+        .with_options(BatchOptions {
+            deadline_ms,
+            granted,
+            checkpoint_every,
+        });
 
     // Stream every response append-and-flush (kept lines re-written first) so
     // a crash loses at most the in-flight requests; the canonical sorted
@@ -488,10 +489,8 @@ fn serve_batch<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError
     }
     stream.flush()?;
     let stream = Mutex::new(stream);
-    let responses = service.run_batch_streamed(
+    let responses = service.run_batch(
         to_run,
-        &opts,
-        &dpx_dp::histogram::GeometricHistogram,
         Some(&|response: &dpx_serve::ExplainResponse| {
             let mut w = stream.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = writeln!(w, "{}", response.to_json_line());

@@ -180,8 +180,10 @@ mod tests {
     use rand::SeedableRng;
     use std::io::BufWriter;
 
-    fn world() -> (String, String) {
-        let dir = std::env::temp_dir().join(format!("dpclustx-repl-{}", std::process::id()));
+    /// Writes the session's dataset into a directory of the test's own:
+    /// tests run in parallel and must never rewrite a file a sibling reads.
+    fn world(test: &str) -> (std::path::PathBuf, String, String) {
+        let dir = std::env::temp_dir().join(format!("dpclustx-repl-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let data = synth::diabetes::spec(2).generate(1_200, &mut rng).data;
@@ -193,14 +195,13 @@ mod tests {
             &mut BufWriter::new(File::create(&schema).unwrap()),
         )
         .unwrap();
-        (
-            csv.to_str().unwrap().to_string(),
-            schema.to_str().unwrap().to_string(),
-        )
+        let csv = csv.to_str().unwrap().to_string();
+        let schema = schema.to_str().unwrap().to_string();
+        (dir, csv, schema)
     }
 
-    fn run(script: &str, budget: &str) -> String {
-        let (csv, schema) = world();
+    fn run(test: &str, script: &str, budget: &str) -> String {
+        let (dir, csv, schema) = world(test);
         let cli = Cli::parse(
             [
                 "session", "--data", &csv, "--schema", &schema, "--budget", budget,
@@ -211,12 +212,14 @@ mod tests {
         .unwrap();
         let mut out = Vec::new();
         run_session(&cli, script.as_bytes(), &mut out).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
         String::from_utf8(out).unwrap()
     }
 
     #[test]
     fn scripted_session_clusters_and_explains() {
         let text = run(
+            "scripted",
             "cluster 2 0.5\nexplain 0.3\nbudget\nhist age 0.1\naudit\nquit\n",
             "1.5",
         );
@@ -230,20 +233,25 @@ mod tests {
 
     #[test]
     fn budget_refusals_are_graceful() {
-        let text = run("cluster 2 0.5\nexplain 0.9\nbudget\nquit\n", "1.0");
+        let text = run(
+            "refusals",
+            "cluster 2 0.5\nexplain 0.9\nbudget\nquit\n",
+            "1.0",
+        );
         assert!(text.contains("refused: privacy budget exceeded"));
         assert!(text.contains("spent ε = 0.5000"));
     }
 
     #[test]
     fn count_command_with_predicate() {
-        let text = run("count 0.5 gender=Female\nquit\n", "1.0");
+        let text = run("count", "count 0.5 gender=Female\nquit\n", "1.0");
         assert!(text.contains("noisy count ≈"));
     }
 
     #[test]
     fn malformed_commands_report_usage() {
         let text = run(
+            "malformed",
             "cluster\nexplain nope\nhist nothere 0.1\ncount 0.1 bad-clause\nfrobnicate\nquit\n",
             "1.0",
         );
@@ -256,7 +264,7 @@ mod tests {
 
     #[test]
     fn empty_lines_and_eof_are_fine() {
-        let text = run("\n\n", "1.0");
+        let text = run("empty", "\n\n", "1.0");
         assert!(text.contains("session closed"));
     }
 }

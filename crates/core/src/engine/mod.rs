@@ -23,7 +23,7 @@
 //! Parallel stages stay deterministic under a fixed seed: per-task RNGs are
 //! split from the master RNG in task order before the fan-out and results are
 //! merged in input order, so `threads = 1` and `threads = N` produce
-//! bit-identical explanations (see [`crate::parallel`]).
+//! bit-identical explanations (see [`dpx_runtime::parallel`]).
 
 mod observer;
 mod stages;

@@ -58,7 +58,6 @@ pub mod eval;
 pub mod explanation;
 pub mod framework;
 pub mod multi;
-pub mod parallel;
 pub mod quality;
 pub mod report;
 pub mod session;

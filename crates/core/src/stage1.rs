@@ -9,11 +9,11 @@
 //! the paper notes.
 
 use crate::counts::ScoreTable;
-use crate::parallel::ordered_parallel_map;
 use crate::quality::score::sscore;
 use dpx_dp::budget::{Epsilon, Sensitivity};
 use dpx_dp::topk::one_shot_top_k;
 use dpx_dp::DpError;
+use dpx_runtime::ordered_parallel_map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

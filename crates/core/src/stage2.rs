@@ -20,7 +20,6 @@
 
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
-use crate::parallel::{chunked_reduce, default_threads, ordered_parallel_map};
 use crate::quality::score::{GlScoreCache, Weights};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Schema;
@@ -30,6 +29,7 @@ use dpx_dp::counter::{gumbel_at, GUMBEL_UNIT_MAX};
 use dpx_dp::gumbel::sample_gumbel;
 use dpx_dp::histogram::{subtract_clamped, HistogramMechanism};
 use dpx_dp::DpError;
+use dpx_runtime::{chunk_worker_reduce, default_threads, ordered_parallel_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -566,12 +566,12 @@ fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeB
 /// derived from a keyed PRF ([`gumbel_at`]) instead of a shared stream.
 ///
 /// Exactly one `u64` (the PRF seed) is drawn from `rng`, after which every
-/// leaf's noisy score is a pure function of its index. The sweep is
-/// range-partitioned into `threads` contiguous chunks of `[0, k^|C|)`
-/// (each seeking its start leaf in O(|C|·k), then carrying normally) and the
-/// per-range argmaxes are folded in ascending range order with strict-`>`
-/// comparison — preserving the serial sweep's earliest-leaf tie-breaking, so
-/// the selected combination is **bit-identical for every thread count**
+/// leaf's noisy score is a pure function of its index. The sweep splits
+/// `[0, k^|C|)` into `threads` contiguous ranges claimed by workers (each
+/// seeking its start leaf in O(|C|·k), then carrying normally), and the
+/// per-range argmaxes merge order-free: the higher value wins, and an exact
+/// tie goes to the earlier leaf — the serial sweep's tie-breaking — so the
+/// selected combination is **bit-identical for every thread count**
 /// (property-tested). Returns the selection and the size of the enumerated
 /// space, as [`select_combination_counted`] does.
 pub fn select_combination_counter<R: Rng + ?Sized>(
@@ -615,15 +615,28 @@ pub fn select_combination_counter<R: Rng + ?Sized>(
         bounds: &bounds,
         subtree: &subtree,
     };
-    let best = chunked_reduce(
+    let keep_better = |acc: &mut RangeBest, part: RangeBest| {
+        if part.val > acc.val || (part.val == acc.val && part.leaf < acc.leaf) {
+            *acc = part;
+        }
+    };
+    let threads = threads.max(1);
+    let best = chunk_worker_reduce(
         total as usize,
-        threads.max(1),
-        |r| sweep_counter_range(&inputs, r.start as u64, r.end as u64),
-        |acc, part| {
-            if part.val > acc.val {
-                *acc = part;
-            }
+        (total as usize).div_ceil(threads),
+        threads,
+        || RangeBest {
+            val: f64::NEG_INFINITY,
+            leaf: u64::MAX,
+            choice: Vec::new(),
         },
+        |acc, r| {
+            keep_better(
+                acc,
+                sweep_counter_range(&inputs, r.start as u64, r.end as u64),
+            )
+        },
+        keep_better,
     )
     .expect("combination space is non-empty");
     let sel = best

@@ -37,8 +37,8 @@
 //!   it would forget spent ε — so recovery fails with the typed
 //!   [`LedgerError::Corrupt`].
 //!
-//! Two v2 additions over the original `DPXWAL01` format (still readable; a
-//! v1 file is upgraded in place on [`LedgerWriter::open`]):
+//! Two v2 additions over the original `DPXWAL01` format (no longer read: a
+//! v1 file fails with [`LedgerError::BadMagic`] and is left untouched):
 //!
 //! * **Grants carry their parallel-composition group.** A grant charged
 //!   under parallel composition (disjoint input partitions, Proposition 2.1)
@@ -70,10 +70,6 @@ use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic of the current format (`DPXWAL02`).
 pub const MAGIC: &[u8; 8] = b"DPXWAL02";
-
-/// The magic of the original grant-only format, still accepted by
-/// [`recover`] and upgraded in place by [`LedgerWriter::open`].
-pub const MAGIC_V1: &[u8; 8] = b"DPXWAL01";
 
 /// Upper bound on a record's payload length. The writer enforces it, so a
 /// larger length in a file can only be corruption, never a torn write.
@@ -201,9 +197,6 @@ pub struct Recovery {
     pub valid_len: u64,
     /// Torn-tail bytes past the valid prefix that recovery drops.
     pub truncated_bytes: u64,
-    /// Whether the file was in the legacy `DPXWAL01` format (upgraded in
-    /// place by [`LedgerWriter::open`]).
-    pub legacy_v1: bool,
 }
 
 impl Recovery {
@@ -214,7 +207,6 @@ impl Recovery {
             grants: Vec::new(),
             valid_len: MAGIC.len() as u64,
             truncated_bytes: 0,
-            legacy_v1: false,
         }
     }
 
@@ -473,42 +465,11 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
     }
 }
 
-fn decode_payload_v1(payload: &[u8], offset: u64) -> Result<GrantRecord, LedgerError> {
-    let corrupt = |detail: &str| LedgerError::Corrupt {
-        offset,
-        detail: detail.to_string(),
-    };
-    if payload.len() < 20 {
-        return Err(corrupt("payload shorter than its fixed fields"));
-    }
-    let request_id = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let epsilon = f64::from_bits(u64::from_le_bytes(
-        payload[8..16].try_into().expect("8 bytes"),
-    ));
-    let label_len = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes")) as usize;
-    if label_len != payload.len() - 20 {
-        return Err(corrupt("label length disagrees with record length"));
-    }
-    if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(corrupt("grant epsilon is not finite and positive"));
-    }
-    let label = std::str::from_utf8(&payload[20..])
-        .map_err(|_| corrupt("label is not valid UTF-8"))?
-        .to_string();
-    Ok(GrantRecord {
-        request_id,
-        epsilon,
-        label,
-        group: None,
-    })
-}
-
 /// Replays the ledger at `path` without modifying it.
 ///
 /// A missing file and an empty or torn-header file recover as empty; a torn
 /// tail is reported via [`Recovery::truncated_bytes`]; a corrupt interior is
 /// a typed error (see the module docs for the torn/corrupt distinction).
-/// Both the current `DPXWAL02` and the legacy `DPXWAL01` format are read.
 pub fn recover(path: &Path) -> Result<Recovery, LedgerError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -527,15 +488,10 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, LedgerError> {
             ..Recovery::empty()
         });
     }
-    let legacy_v1 = match &bytes[..MAGIC.len()] {
-        m if m == MAGIC => false,
-        m if m == MAGIC_V1 => true,
-        _ => return Err(LedgerError::BadMagic),
-    };
-    let mut recovery = Recovery {
-        legacy_v1,
-        ..Recovery::empty()
-    };
+    if &bytes[..MAGIC.len()] != MAGIC {
+        return Err(LedgerError::BadMagic);
+    }
+    let mut recovery = Recovery::empty();
     let mut pos = MAGIC.len();
     loop {
         let remaining = bytes.len() - pos;
@@ -585,25 +541,19 @@ fn recover_bytes(bytes: &[u8]) -> Result<Recovery, LedgerError> {
                 detail: "payload checksum mismatch".to_string(),
             });
         }
-        if legacy_v1 {
-            recovery
-                .grants
-                .push(decode_payload_v1(payload, pos as u64)?);
-        } else {
-            match decode_payload_v2(payload, pos as u64)? {
-                Record::Grant(grant) => recovery.grants.push(grant),
-                Record::Checkpoint(ckpt) => {
-                    if pos != MAGIC.len() {
-                        // The writer only ever produces a checkpoint as the
-                        // whole file's head; one mid-file cannot be a torn
-                        // write and dropping it would forget spent ε.
-                        return Err(LedgerError::Corrupt {
-                            offset: pos as u64,
-                            detail: "checkpoint record not at the head of the file".to_string(),
-                        });
-                    }
-                    recovery.checkpoint = Some(ckpt);
+        match decode_payload_v2(payload, pos as u64)? {
+            Record::Grant(grant) => recovery.grants.push(grant),
+            Record::Checkpoint(ckpt) => {
+                if pos != MAGIC.len() {
+                    // The writer only ever produces a checkpoint as the
+                    // whole file's head; one mid-file cannot be a torn
+                    // write and dropping it would forget spent ε.
+                    return Err(LedgerError::Corrupt {
+                        offset: pos as u64,
+                        detail: "checkpoint record not at the head of the file".to_string(),
+                    });
                 }
+                recovery.checkpoint = Some(ckpt);
             }
         }
         pos += need;
@@ -655,40 +605,21 @@ impl LedgerWriter {
     /// Replays the existing file first; a torn tail is physically truncated
     /// (the crash-recovery rule) before the returned writer appends past it.
     /// A stale checkpoint tmp file (a kill before the checkpoint rename) is
-    /// swept. A legacy `DPXWAL01` file is atomically rewritten in the v2
-    /// format. The caller receives the [`Recovery`] to rebuild its
-    /// accountant from.
+    /// swept. The caller receives the [`Recovery`] to rebuild its accountant
+    /// from.
     pub fn open(path: &Path) -> Result<(Self, Recovery), LedgerError> {
         match std::fs::remove_file(checkpoint_tmp_path(path)) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        let mut recovery = recover(path)?;
+        let recovery = recover(path)?;
         if recovery.checkpoint.is_none()
             && recovery.grants.is_empty()
             && recovery.valid_len == MAGIC.len() as u64
         {
             // Fresh, missing, or torn-header file: (re)initialize in place.
             return Ok((Self::create(path)?, recovery));
-        }
-        if recovery.legacy_v1 {
-            // Upgrade: rewrite the replayed history as a v2 file and swap it
-            // in atomically (same tmp+rename discipline as a checkpoint).
-            let mut bytes = MAGIC.to_vec();
-            for grant in &recovery.grants {
-                bytes.extend_from_slice(&encode_record(grant));
-            }
-            let tmp = checkpoint_tmp_path(path);
-            {
-                let mut file = File::create(&tmp)?;
-                file.write_all(&bytes)?;
-                file.sync_data()?;
-            }
-            std::fs::rename(&tmp, path)?;
-            sync_parent_dir(path);
-            recovery.valid_len = bytes.len() as u64;
-            recovery.truncated_bytes = 0;
         }
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         if recovery.truncated_bytes > 0 {
@@ -985,39 +916,34 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_file_recovers_and_upgrades() {
-        // Hand-encode a v1 file: old magic, kindless grant payloads.
-        let encode_v1 = |g: &GrantRecord| {
+    fn v1_file_is_refused_and_left_untouched() {
+        // A hand-encoded `DPXWAL01` file holding real spends: the old magic
+        // followed by kindless grant payloads. The format is no longer read,
+        // and its ε must never be forgotten by recovering it as empty or by
+        // overwriting it with a fresh ledger.
+        let mut bytes = b"DPXWAL01".to_vec();
+        for g in &sample_grants() {
             let label = g.label.as_bytes();
             let mut payload = Vec::new();
             payload.extend_from_slice(&g.request_id.to_le_bytes());
             payload.extend_from_slice(&g.epsilon.to_bits().to_le_bytes());
             payload.extend_from_slice(&(label.len() as u32).to_le_bytes());
             payload.extend_from_slice(label);
-            frame_record(payload)
-        };
-        let grants = sample_grants();
-        let mut bytes = MAGIC_V1.to_vec();
-        for g in &grants {
-            bytes.extend_from_slice(&encode_v1(g));
+            bytes.extend_from_slice(&frame_record(payload));
         }
-        let path = tmp("legacy.wal");
+        let path = tmp("v1.wal");
         std::fs::write(&path, &bytes).unwrap();
 
-        let recovered = recover(&path).unwrap();
-        assert!(recovered.legacy_v1);
-        assert_eq!(recovered.grants, grants);
-
-        // Opening upgrades in place; the upgraded file is v2 and appendable.
-        let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
-        assert_eq!(recovery.grants, grants);
-        writer.append(&GrantRecord::for_request(5, 0.0625)).unwrap();
-        drop(writer);
-        let upgraded = std::fs::read(&path).unwrap();
-        assert_eq!(&upgraded[..8], MAGIC);
-        let recovered = recover(&path).unwrap();
-        assert!(!recovered.legacy_v1);
-        assert_eq!(recovered.grants.len(), 4);
+        assert_eq!(recover(&path).unwrap_err(), LedgerError::BadMagic);
+        assert_eq!(
+            LedgerWriter::open(&path).unwrap_err(),
+            LedgerError::BadMagic
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "file must be unchanged"
+        );
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //!   [`counter`] module re-derives Gumbel noise from a keyed counter-based
 //!   PRF (Philox-2×64), making the perturbation at any index an independently
 //!   computable pure function — the substrate for parallel DP search.
-//! * **Selection mechanisms** — the [`exponential`] mechanism (McSherry–Talwar),
-//!   [`noisy_max`] (report-noisy-max), and the one-shot [`topk`] mechanism
-//!   (Durfee–Rogers), which releases the top-k candidates with a *single* round
-//!   of noise while being distributionally identical to `k` iterated exponential
-//!   mechanisms.
+//! * **Selection mechanisms** — the [`exponential`] mechanism (McSherry–Talwar)
+//!   and the one-shot [`topk`] mechanism (Durfee–Rogers), which releases the
+//!   top-k candidates with a *single* round of noise while being
+//!   distributionally identical to `k` iterated exponential mechanisms.
 //! * **DP histograms** — [`histogram`] offers pluggable `ε`-DP histogram release
 //!   (`M_hist` in the paper) with geometric or Laplace noise and non-negativity
 //!   post-processing.
@@ -45,7 +44,6 @@
 
 pub mod accuracy;
 pub mod budget;
-pub mod composition;
 pub mod consistency;
 pub mod counter;
 pub mod error;
@@ -55,7 +53,6 @@ pub mod gumbel;
 pub mod histogram;
 pub mod laplace;
 pub mod ledger;
-pub mod noisy_max;
 pub mod shards;
 pub mod sparse_vector;
 pub mod topk;

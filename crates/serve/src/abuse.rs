@@ -58,13 +58,12 @@ use crate::request::{reject_reason, ExplainRequest, ExplainResponse};
 use crate::service::{reason, BatchOptions, ExplainService};
 use dpx_data::synth::diabetes;
 use dpx_dp::budget::Epsilon;
-use dpx_dp::histogram::GeometricHistogram;
 use dpx_dp::shards::ShardConfig;
 use dpx_dp::SharedAccountant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// SplitMix64: the batteries' own tiny deterministic generator. Traffic
@@ -284,7 +283,7 @@ pub fn budget_storm(config: &StormConfig) -> BatteryOutcome {
     shuffle(&mut requests, &mut state);
     let eps_of: BTreeMap<u64, f64> = requests.iter().map(|r| (r.id, r.total_epsilon())).collect();
 
-    let responses = service.run_batch(requests);
+    let responses = service.run_batch(requests, None);
     outcome.total = responses.len();
     outcome.honest_total = config.small;
     let mut served_ids: Vec<u64> = Vec::new();
@@ -413,7 +412,7 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
 
     // Phase 1: grant the victims normally and remember their exact bytes.
     let baseline: BTreeMap<u64, String> = service
-        .run_batch(victims.clone())
+        .run_batch(victims.clone(), None)
         .iter()
         .map(|r| (r.id, r.to_json_line()))
         .collect();
@@ -444,11 +443,13 @@ pub fn replay_flood(config: &ReplayFloodConfig) -> BatteryOutcome {
     shuffle(&mut flood, &mut state);
     outcome.total = flood.len();
     outcome.honest_total = config.fresh;
-    let opts = BatchOptions {
-        granted: granted_ids.clone(),
-        ..Default::default()
-    };
-    let responses = service.run_batch_streamed(flood, &opts, &GeometricHistogram, None);
+    let service = ExplainService::new(Arc::clone(&registry))
+        .with_workers(config.workers)
+        .with_options(BatchOptions {
+            granted: granted_ids.clone(),
+            ..Default::default()
+        });
+    let responses = service.run_batch(flood, None);
 
     let mut fresh_served: Vec<u64> = Vec::new();
     for response in &responses {
@@ -572,7 +573,7 @@ pub fn deadline_storm(config: &DeadlineStormConfig) -> BatteryOutcome {
     shuffle(&mut requests, &mut state);
     let eps_of: BTreeMap<u64, f64> = requests.iter().map(|r| (r.id, r.total_epsilon())).collect();
 
-    let responses = service.run_batch(requests);
+    let responses = service.run_batch(requests, None);
     outcome.total = responses.len();
     outcome.honest_total = config.live;
     let entry = registry.get("deadline").expect("registered");
@@ -1108,6 +1109,9 @@ pub fn run_all(seed: u64) -> AbuseReport {
 /// prevent. The abuse suite runs [`gate_storm`] against both: the harness
 /// only counts as a check because it *fails* on the broken gate.
 pub trait SpendGate: Sync {
+    /// Called once by [`gate_storm`] before it releases its `spenders`
+    /// threads. A gate serves one storm.
+    fn arm(&self, _spenders: usize) {}
     /// Attempts to admit a spend of `eps` for request `id`.
     fn try_admit(&self, id: u64, eps: Epsilon) -> bool;
     /// Total ε admitted so far.
@@ -1131,38 +1135,52 @@ impl SpendGate for SharedAccountant {
 }
 
 /// The classic check-then-spend gate: the cap check and the spend are two
-/// separate critical sections with a deliberate window between them, so
-/// racing spenders can all pass the check against the same headroom and
-/// jointly breach the cap. Exists purely to prove [`gate_storm`] has teeth.
+/// separate critical sections, so racing spenders can all pass the check
+/// against the same headroom and jointly breach the cap. Exists purely to
+/// prove [`gate_storm`] has teeth.
+///
+/// The window between check and spend is a barrier over the storm's
+/// spenders (see [`SpendGate::arm`]): every spender passes its check before
+/// any spender records, so the admitted total depends only on the spender
+/// count and never on OS scheduling.
 #[derive(Debug)]
 pub struct NaiveGate {
     cap: f64,
     spent: Mutex<f64>,
-    window: Duration,
+    window: OnceLock<Barrier>,
 }
 
 impl NaiveGate {
-    /// A naive gate with `cap` and a 2 ms check-to-spend window.
+    /// A naive gate with `cap`.
     pub fn new(cap: f64) -> Self {
         NaiveGate {
             cap,
             spent: Mutex::new(0.0),
-            window: Duration::from_millis(2),
+            window: OnceLock::new(),
         }
     }
 }
 
 impl SpendGate for NaiveGate {
+    fn arm(&self, spenders: usize) {
+        assert!(
+            self.window.set(Barrier::new(spenders)).is_ok(),
+            "a NaiveGate serves one storm"
+        );
+    }
+
     fn try_admit(&self, _id: u64, eps: Epsilon) -> bool {
         let fits = {
             let spent = self.spent.lock().unwrap_or_else(PoisonError::into_inner);
             *spent + eps.get() <= self.cap + 1e-12
         };
+        // The TOCTOU window: every racer has checked before any records.
+        if let Some(window) = self.window.get() {
+            window.wait();
+        }
         if !fits {
             return false;
         }
-        // The TOCTOU window: every racer has already passed the check.
-        std::thread::sleep(self.window);
         *self.spent.lock().unwrap_or_else(PoisonError::into_inner) += eps.get();
         true
     }
@@ -1185,6 +1203,7 @@ pub fn gate_storm<G: SpendGate>(gate: &G, spenders: usize, eps: f64, seed: u64) 
     outcome.total = spenders;
     outcome.honest_total = spenders;
     let eps = Epsilon::new(eps).expect("storm eps");
+    gate.arm(spenders);
     let barrier = Barrier::new(spenders);
     let admitted = Mutex::new(0usize);
     std::thread::scope(|scope| {
@@ -1202,7 +1221,8 @@ pub fn gate_storm<G: SpendGate>(gate: &G, spenders: usize, eps: f64, seed: u64) 
                 for _ in 0..spins {
                     sink = split_mix(&mut sink) | 1;
                 }
-                if sink != 0 && gate.try_admit(i as u64 + 1, eps) {
+                std::hint::black_box(sink);
+                if gate.try_admit(i as u64 + 1, eps) {
                     *admitted.lock().unwrap_or_else(PoisonError::into_inner) += 1;
                 }
             });

@@ -54,7 +54,6 @@ use crate::registry::DatasetRegistry;
 use crate::request::{reject_reason, ExplainRequest, ExplainResponse, RequestOp};
 use crate::service::{reason, reject_response, BatchOptions, ExplainService};
 use dpclustx::engine::StageEvent;
-use dpx_dp::histogram::GeometricHistogram;
 use dpx_runtime::faultpoint::{self, DAEMON_PRE_DRAIN_CHECKPOINT};
 use dpx_runtime::queue::{BoundedTenantQueue, PushError};
 use std::collections::HashSet;
@@ -206,9 +205,8 @@ impl DrainSummary {
 pub struct Daemon {
     service: ExplainService,
     queue: BoundedTenantQueue<Job>,
-    metrics: MetricsRegistry,
+    metrics: Arc<MetricsRegistry>,
     config: DaemonConfig,
-    opts: BatchOptions,
     draining: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
     drain_reason: Mutex<String>,
@@ -230,18 +228,22 @@ impl Daemon {
                 }
             }
         }
-        let opts = BatchOptions {
-            deadline_ms: config.deadline_ms,
-            granted: config.granted.clone(),
-            checkpoint_every: config.checkpoint_every,
-        };
         let workers = config.workers.max(1);
+        let metrics = Arc::new(MetricsRegistry::new(config.metrics_window));
+        let tap = Arc::clone(&metrics);
+        let service = ExplainService::new(Arc::clone(&registry))
+            .with_workers(workers)
+            .with_options(BatchOptions {
+                deadline_ms: config.deadline_ms,
+                granted: config.granted.clone(),
+                checkpoint_every: config.checkpoint_every,
+            })
+            .with_stage_tap(Arc::new(move |event: &StageEvent| tap.observe_stage(event)));
         Arc::new(Daemon {
-            service: ExplainService::new(Arc::clone(&registry)).with_workers(workers),
+            service,
             queue: BoundedTenantQueue::new(config.queue_capacity),
-            metrics: MetricsRegistry::new(config.metrics_window),
+            metrics,
             config: DaemonConfig { workers, ..config },
-            opts,
             draining: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
             drain_reason: Mutex::new(String::new()),
@@ -427,7 +429,7 @@ impl Daemon {
         // Budget feasibility against the shard's live headroom. Recovered
         // grants (resume) already hold their ε — re-checking would refuse
         // work that is already paid for.
-        if !self.opts.granted.contains(&request.id) {
+        if !self.config.granted.contains(&request.id) {
             if let Some(remaining) = self
                 .registry()
                 .get(&request.dataset)
@@ -504,13 +506,7 @@ impl Daemon {
                         .map_or(remaining_ms, |d| d.min(remaining_ms)),
                 );
             }
-            let tap = |event: &StageEvent| self.metrics.observe_stage(event);
-            let response = self.service.execute_tapped(
-                &job.request,
-                &self.opts,
-                &GeometricHistogram,
-                Some(&tap),
-            );
+            let response = self.service.execute(&job.request);
             let latency = job.enqueued.elapsed();
             if response.is_ok() {
                 let eps_spent = response

@@ -63,13 +63,13 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is an integral number in
-    /// `u64` range.
+    /// The value as a non-negative integer, if it is an integral number
+    /// below 2^53. Numbers parse as `f64`, and from 2^53 up distinct
+    /// integers round to one value: `9007199254740993` reads back as
+    /// `9007199254740992`. Those are refused rather than returned rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < MAX_SAFE_INT => Some(*n as u64),
             _ => None,
         }
     }
@@ -467,6 +467,15 @@ mod tests {
         assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[1].as_u64(), Some(2));
+        let exact = Json::parse("9007199254740991").unwrap();
+        assert_eq!(exact.as_u64(), Some(9_007_199_254_740_991));
+        for rounded in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(Json::parse(rounded).unwrap().as_u64(), None, "{rounded}");
+        }
         assert_eq!(arr[2].get("b"), Some(&Json::Null));
     }
 

@@ -35,8 +35,8 @@
 //! batch skip re-spending for recovered request ids,
 //! [`BatchOptions::checkpoint_every`] bounds replay by compacting each
 //! shard's WAL to a checkpoint record, and
-//! [`ExplainService::run_batch_streamed`] streams each response to a sink as
-//! it is produced so a crash loses at most the in-flight lines. Under
+//! [`ExplainService::run_batch`] streams each response to an optional sink
+//! as it is produced so a crash loses at most the in-flight lines. Under
 //! contention the ledger **group-commits**: concurrent spenders' grants are
 //! appended and fsynced as one batch by a leader thread (see
 //! [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)), every spend still
@@ -85,5 +85,5 @@ pub use request::{
 };
 pub use service::{
     parse_requests, parse_requests_lenient, reason, reject_response, write_responses, BatchOptions,
-    ExplainService, ServeError,
+    ExplainService, ServeError, StageTap,
 };

@@ -4,7 +4,7 @@
 //! and aggregates everything the operator needs to see a resident process
 //! breathe: end-to-end latency percentiles over a bounded ring, per-stage
 //! wall-clock means fed through the engine's `PipelineObserver` seam (via
-//! [`crate::service::ExplainService::execute_tapped`]), admission reject
+//! [`crate::service::ExplainService::with_stage_tap`]), admission reject
 //! counts by machine-readable reason, queue depth, and per-dataset ε burn.
 //!
 //! Two consumers read it:

@@ -277,26 +277,67 @@ impl ServeFailure {
     }
 }
 
-/// The explanation service: a registry plus a worker-pool width.
-#[derive(Debug)]
-pub struct ExplainService {
+/// A stage tap: handed every [`StageEvent`] the pipeline reports for a
+/// served request, in stage order, before the response is built.
+pub type StageTap = Arc<dyn Fn(&StageEvent) + Send + Sync>;
+
+/// The explanation service: a registry, a worker-pool width, and the
+/// settings fixed when the service is built — the [`BatchOptions`], the
+/// histogram mechanism (default [`GeometricHistogram`]) and an optional
+/// [`StageTap`].
+pub struct ExplainService<M = GeometricHistogram> {
     registry: Arc<DatasetRegistry>,
     workers: usize,
+    opts: BatchOptions,
+    mechanism: M,
+    tap: Option<StageTap>,
 }
 
 impl ExplainService {
     /// A service over `registry` with one worker per available core (capped
-    /// later by the batch size).
+    /// later by the batch size), default options and the geometric
+    /// histogram mechanism.
     pub fn new(registry: Arc<DatasetRegistry>) -> Self {
         ExplainService {
             registry,
             workers: default_threads(usize::MAX),
+            opts: BatchOptions::default(),
+            mechanism: GeometricHistogram,
+            tap: None,
         }
     }
+}
 
+impl<M: HistogramMechanism + Sync> ExplainService<M> {
     /// Sets the worker-pool width (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
+        self
+    }
+
+    /// Sets the deadline default, the recovered-grant set and the
+    /// checkpoint policy every request is served under.
+    pub fn with_options(mut self, opts: BatchOptions) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// Swaps the histogram mechanism.
+    pub fn with_mechanism<N: HistogramMechanism + Sync>(self, mechanism: N) -> ExplainService<N> {
+        ExplainService {
+            registry: self.registry,
+            workers: self.workers,
+            opts: self.opts,
+            mechanism,
+            tap: self.tap,
+        }
+    }
+
+    /// Installs a stage tap. The resident daemon feeds its rolling metrics
+    /// registry through this seam; the response bytes are identical with or
+    /// without a tap.
+    pub fn with_stage_tap(mut self, tap: StageTap) -> Self {
+        self.tap = Some(tap);
         self
     }
 
@@ -310,45 +351,10 @@ impl ExplainService {
         &self.registry
     }
 
-    /// Serves one request with the default (geometric) histogram mechanism.
+    /// Serves one request. Never panics on bad request *data* — lookup,
+    /// validation, budget, and pipeline failures all come back as error
+    /// responses.
     pub fn execute(&self, request: &ExplainRequest) -> ExplainResponse {
-        self.execute_with(request, &GeometricHistogram)
-    }
-
-    /// Serves one request with a custom histogram mechanism. Never panics on
-    /// bad request *data* — lookup, validation, budget, and pipeline failures
-    /// all come back as error responses.
-    pub fn execute_with<M: HistogramMechanism + Sync>(
-        &self,
-        request: &ExplainRequest,
-        mechanism: &M,
-    ) -> ExplainResponse {
-        self.execute_opts(request, &BatchOptions::default(), mechanism)
-    }
-
-    /// [`Self::execute_with`] under explicit [`BatchOptions`] (deadline
-    /// default and recovered-grant set).
-    pub fn execute_opts<M: HistogramMechanism + Sync>(
-        &self,
-        request: &ExplainRequest,
-        opts: &BatchOptions,
-        mechanism: &M,
-    ) -> ExplainResponse {
-        self.execute_tapped(request, opts, mechanism, None)
-    }
-
-    /// [`Self::execute_opts`] with an optional **stage tap**: every
-    /// [`StageEvent`] the pipeline reports for this request is also handed
-    /// to `tap`, in stage order, before the response is built. The resident
-    /// daemon feeds its rolling metrics registry through this seam; the
-    /// response bytes are identical with or without a tap.
-    pub fn execute_tapped<M: HistogramMechanism + Sync>(
-        &self,
-        request: &ExplainRequest,
-        opts: &BatchOptions,
-        mechanism: &M,
-        tap: Option<&(dyn Fn(&StageEvent) + Sync)>,
-    ) -> ExplainResponse {
         if request.is_control() {
             // Control ops only make sense against a resident daemon; a
             // one-shot batch answers them with a typed error rather than
@@ -374,7 +380,7 @@ impl ExplainService {
                 Err(message) => ExplainResponse::error(request.id, message),
             };
         }
-        match self.try_execute(request, opts, mechanism, tap) {
+        match self.try_execute(request) {
             Ok(served) => ExplainResponse::success(request.id, served),
             Err(failure) => {
                 let mut response = ExplainResponse::error(request.id, failure.message);
@@ -403,13 +409,7 @@ impl ExplainService {
         }
     }
 
-    fn try_execute<M: HistogramMechanism + Sync>(
-        &self,
-        request: &ExplainRequest,
-        opts: &BatchOptions,
-        mechanism: &M,
-        tap: Option<&(dyn Fn(&StageEvent) + Sync)>,
-    ) -> Result<ServedExplanation, ServeFailure> {
+    fn try_execute(&self, request: &ExplainRequest) -> Result<ServedExplanation, ServeFailure> {
         let entry = self
             .registry
             .get(&request.dataset)
@@ -434,9 +434,9 @@ impl ExplainService {
         // spent; once the grant is durable the ε stays spent, refund-free.
         let cancel = request
             .deadline_ms
-            .or(opts.deadline_ms)
+            .or(self.opts.deadline_ms)
             .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));
-        if opts.granted.contains(&request.id) {
+        if self.opts.granted.contains(&request.id) {
             // This id already holds a durable grant from a crashed run: its ε
             // is reserved, so spending again would double-charge the cap.
             // Re-execution is free — the pipeline is a pure function of the
@@ -498,7 +498,7 @@ impl ExplainService {
                 &mut ctx,
                 &labels,
                 request.n_clusters,
-                mechanism,
+                &self.mechanism,
                 &mut observer,
             )
             .map_err(|e| match e {
@@ -513,7 +513,7 @@ impl ExplainService {
                 other => ServeFailure::plain(other.to_string()),
             })?;
         let events = observer.events();
-        if let Some(tap) = tap {
+        if let Some(tap) = &self.tap {
             for event in events {
                 tap(event);
             }
@@ -525,31 +525,17 @@ impl ExplainService {
         ))
     }
 
-    /// Serves a whole batch on the worker pool with the default mechanism.
-    /// Responses come back in request order; sort or
-    /// [`write_responses`] by id for a canonical stream.
-    pub fn run_batch(&self, requests: Vec<ExplainRequest>) -> Vec<ExplainResponse> {
-        self.run_batch_with_mechanism(requests, &GeometricHistogram)
-    }
-
-    /// [`Self::run_batch`] with a custom histogram mechanism. A request that
-    /// panics mid-pipeline (e.g. a faulty mechanism) yields an error response
-    /// carrying the panic message; every other request is served normally.
-    pub fn run_batch_with_mechanism<M: HistogramMechanism + Sync>(
-        &self,
-        requests: Vec<ExplainRequest>,
-        mechanism: &M,
-    ) -> Vec<ExplainResponse> {
-        self.run_batch_streamed(requests, &BatchOptions::default(), mechanism, None)
-    }
-
-    /// The full-control batch runner: explicit [`BatchOptions`] plus an
-    /// optional streaming sink.
+    /// Serves a whole batch on the worker pool. Responses come back in
+    /// request order; sort or [`write_responses`] by id for a canonical
+    /// stream. A request that panics mid-pipeline (e.g. a faulty mechanism)
+    /// yields an error response carrying the panic message; every other
+    /// request is served normally.
     ///
-    /// The sink is invoked by the worker *as each response is produced* (in
-    /// completion order, under whatever lock the sink takes internally) so a
-    /// crash mid-batch loses at most the in-flight responses — the crash-safe
-    /// CLI uses it to append-and-flush each line before the batch finishes.
+    /// The optional sink is invoked by the worker *as each response is
+    /// produced* (in completion order, under whatever lock the sink takes
+    /// internally) so a crash mid-batch loses at most the in-flight responses
+    /// — the crash-safe CLI uses it to append-and-flush each line before the
+    /// batch finishes.
     /// Responses for requests that panicked are synthesized afterwards and
     /// passed to the sink too; the returned vector is in request order as
     /// always.
@@ -561,14 +547,12 @@ impl ExplainService {
     /// append would make *which dataset version a request sees* depend on
     /// scheduling, breaking the byte-identical-for-any-worker-count
     /// guarantee.
-    pub fn run_batch_streamed<M: HistogramMechanism + Sync>(
+    pub fn run_batch(
         &self,
         requests: Vec<ExplainRequest>,
-        opts: &BatchOptions,
-        mechanism: &M,
         sink: Option<&(dyn Fn(&ExplainResponse) + Sync)>,
     ) -> Vec<ExplainResponse> {
-        if let Some(every) = opts.checkpoint_every {
+        if let Some(every) = self.opts.checkpoint_every {
             // Install the policy once per referenced dataset, before any
             // worker spends: the compactions then happen inside the spends'
             // own critical sections.
@@ -585,27 +569,20 @@ impl ExplainService {
         let mut segment: Vec<ExplainRequest> = Vec::new();
         for request in requests {
             if request.is_append() {
-                responses.extend(self.run_segment(
-                    std::mem::take(&mut segment),
-                    opts,
-                    mechanism,
-                    sink,
-                ));
-                responses.extend(self.run_segment(vec![request], opts, mechanism, sink));
+                responses.extend(self.run_segment(std::mem::take(&mut segment), sink));
+                responses.extend(self.run_segment(vec![request], sink));
             } else {
                 segment.push(request);
             }
         }
-        responses.extend(self.run_segment(segment, opts, mechanism, sink));
+        responses.extend(self.run_segment(segment, sink));
         responses
     }
 
     /// Runs one append-free (or single-append) slice of a batch on the pool.
-    fn run_segment<M: HistogramMechanism + Sync>(
+    fn run_segment(
         &self,
         requests: Vec<ExplainRequest>,
-        opts: &BatchOptions,
-        mechanism: &M,
         sink: Option<&(dyn Fn(&ExplainResponse) + Sync)>,
     ) -> Vec<ExplainResponse> {
         if requests.is_empty() {
@@ -613,7 +590,7 @@ impl ExplainService {
         }
         let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
         ordered_parallel_map_catch(requests, self.workers, |request| {
-            let response = self.execute_opts(request, opts, mechanism);
+            let response = self.execute(request);
             if let Some(sink) = sink {
                 sink(&response);
             }
@@ -719,7 +696,7 @@ mod tests {
             let service = ExplainService::new(registry).with_workers(workers);
             let requests: Vec<ExplainRequest> = (0..6).map(ExplainRequest::new).collect();
             let got: Vec<String> = service
-                .run_batch(requests)
+                .run_batch(requests, None)
                 .iter()
                 .map(ExplainResponse::to_json_line)
                 .collect();
@@ -785,11 +762,11 @@ mod tests {
         assert!((response.eps_remaining.unwrap() - 1.0).abs() < 1e-12);
 
         // The batch-level default applies to requests without their own.
-        let opts = BatchOptions {
+        let service = service.with_options(BatchOptions {
             deadline_ms: Some(0),
             ..Default::default()
-        };
-        let response = service.execute_opts(&ExplainRequest::new(2), &opts, &GeometricHistogram);
+        });
+        let response = service.execute(&ExplainRequest::new(2));
         assert_eq!(response.reason.as_deref(), Some("deadline_exceeded"));
         assert_eq!(entry.accountant().spent(), 0.0, "still nothing spent");
     }
@@ -816,12 +793,12 @@ mod tests {
         let baseline = service.execute(&ExplainRequest::new(7)).to_json_line();
         // The cap is now exhausted; a fresh spend for id 7 would be rejected,
         // but a granted id skips the spend and reproduces the response.
-        let opts = BatchOptions {
-            granted: [7].into_iter().collect(),
-            ..Default::default()
-        };
         let replay = service
-            .execute_opts(&ExplainRequest::new(7), &opts, &GeometricHistogram)
+            .with_options(BatchOptions {
+                granted: [7].into_iter().collect(),
+                ..Default::default()
+            })
+            .execute(&ExplainRequest::new(7))
             .to_json_line();
         assert_eq!(replay, baseline);
         let entry = registry.get("default").unwrap();
@@ -835,12 +812,7 @@ mod tests {
         let requests: Vec<ExplainRequest> = (0..5).map(ExplainRequest::new).collect();
         let seen = std::sync::Mutex::new(Vec::new());
         let sink = |r: &ExplainResponse| seen.lock().unwrap().push(r.id);
-        let responses = service.run_batch_streamed(
-            requests,
-            &BatchOptions::default(),
-            &GeometricHistogram,
-            Some(&sink),
-        );
+        let responses = service.run_batch(requests, Some(&sink));
         let mut sunk = seen.into_inner().unwrap();
         sunk.sort_unstable();
         assert_eq!(sunk, (0..5).collect::<Vec<u64>>());
@@ -928,7 +900,7 @@ mod tests {
         let registry = registry_with("default", None);
         let serial = ExplainService::new(Arc::clone(&registry)).with_workers(1);
         let expected: Vec<String> = serial
-            .run_batch(build_requests(&registry))
+            .run_batch(build_requests(&registry), None)
             .iter()
             .map(ExplainResponse::to_json_line)
             .collect();
@@ -937,7 +909,7 @@ mod tests {
             let registry = registry_with("default", None);
             let service = ExplainService::new(Arc::clone(&registry)).with_workers(workers);
             let got: Vec<String> = service
-                .run_batch(build_requests(&registry))
+                .run_batch(build_requests(&registry), None)
                 .iter()
                 .map(ExplainResponse::to_json_line)
                 .collect();
@@ -950,11 +922,14 @@ mod tests {
         let registry = registry_with("default", None);
         let service = ExplainService::new(Arc::clone(&registry)).with_workers(3);
         let rows = sample_rows(&registry, 7);
-        let responses = service.run_batch(vec![
-            ExplainRequest::new(0),
-            append_request(1, rows),
-            ExplainRequest::new(2),
-        ]);
+        let responses = service.run_batch(
+            vec![
+                ExplainRequest::new(0),
+                append_request(1, rows),
+                ExplainRequest::new(2),
+            ],
+            None,
+        );
         assert!(responses.iter().all(ExplainResponse::is_ok));
         assert_eq!(responses[1].append().unwrap().total_rows, 607);
         // The post-append explain ran against the grown dataset: its count

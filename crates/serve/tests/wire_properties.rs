@@ -94,8 +94,12 @@ proptest! {
             return Ok(()); // a skippable stub, not an accountable line
         }
         let classified = ExplainRequest::classify_json_line(truncated);
-        if cut == line.len() {
+        if cut == line.len() && seed < 1 << 53 {
             prop_assert!(classified.is_ok(), "the untruncated line must parse");
+        } else if cut == line.len() {
+            // The encoder rounds a seed of 2^53 or more to an f64; the
+            // decoder must refuse it, never serve the rounded seed.
+            prop_assert_eq!(classified.unwrap_err().reason, reject_reason::BAD_LINE);
         } else if let Err(reject) = classified {
             prop_assert!(!reject.message.is_empty());
             prop_assert_eq!(reject.reason, reject_reason::BAD_LINE);
@@ -218,6 +222,21 @@ fn hostile_line_zoo_classifies_every_shape() {
             "{\"id\": 8, \"op\": \"retract\"}",
             reject_reason::BAD_LINE,
             Some(8),
+        ),
+        // Integers an f64 cannot hold exactly: 2^53 and 2^53 + 1 parse to
+        // the same f64, so neither may be served (or collide as a
+        // duplicate id) under the rounded value; 2^64 is past u64 entirely.
+        ("{\"id\": 9007199254740992}", reject_reason::BAD_LINE, None),
+        ("{\"id\": 9007199254740993}", reject_reason::BAD_LINE, None),
+        (
+            "{\"id\": 18446744073709551616}",
+            reject_reason::BAD_LINE,
+            None,
+        ),
+        (
+            "{\"id\": 10, \"seed\": 9007199254740993}",
+            reject_reason::BAD_LINE,
+            Some(10),
         ),
     ];
     let mut text = String::new();

@@ -147,7 +147,9 @@ fn panicking_request_fails_alone_and_the_pool_keeps_serving() {
     let (data, _) = world();
     let registry = Arc::new(DatasetRegistry::new());
     registry.register("default", Arc::new(data), None);
-    let service = ExplainService::new(Arc::clone(&registry)).with_workers(4);
+    let service = ExplainService::new(Arc::clone(&registry))
+        .with_workers(4)
+        .with_mechanism(PanicAboveEps { threshold: 1.0 });
 
     // Default requests spend eps_hist = 0.1, split across releases — every
     // single release is ≤ 0.05, far under the 1.0 trip wire. The poisoned
@@ -157,8 +159,7 @@ fn panicking_request_fails_alone_and_the_pool_keeps_serving() {
     let mut requests: Vec<ExplainRequest> = (0..5).map(ExplainRequest::new).collect();
     requests[2].eps_hist = Some(40.0);
 
-    let mechanism = PanicAboveEps { threshold: 1.0 };
-    let responses = service.run_batch_with_mechanism(requests, &mechanism);
+    let responses = service.run_batch(requests, None);
     assert_eq!(responses.len(), 5);
     for (i, response) in responses.iter().enumerate() {
         if i == 2 {
@@ -184,7 +185,7 @@ fn panicking_request_fails_alone_and_the_pool_keeps_serving() {
     let entry = registry.get("default").expect("registered");
     assert_eq!(entry.accountant().num_charges(), 5);
     assert!(!entry.cache().is_empty(), "cache not wedged by the panic");
-    let again = service.run_batch((10..14).map(ExplainRequest::new).collect::<Vec<_>>());
+    let again = service.run_batch((10..14).map(ExplainRequest::new).collect(), None);
     assert!(again.iter().all(dpx_serve::ExplainResponse::is_ok));
     assert_eq!(entry.accountant().num_charges(), 9);
 }

@@ -43,7 +43,7 @@ fn serve_sorted_bytes(workers: usize) -> Vec<u8> {
     let service = ExplainService::new(Arc::clone(&registry)).with_workers(workers);
     let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
     assert_eq!(requests.len(), 8);
-    let responses = service.run_batch(requests);
+    let responses = service.run_batch(requests, None);
     // The shared cache memoized each distinct (cluster_by, n_clusters)
     // clustering once — (0,3), (2,2), (4,4), and (0,2) from the request
     // that fails only at the release stage — not once per request.
@@ -100,7 +100,7 @@ fn same_seed_same_request_serves_identical_explanations() {
     b.seed = 77;
     a.n_clusters = 3;
     b.n_clusters = 3;
-    let batch = service.run_batch(vec![a, b]);
+    let batch = service.run_batch(vec![a, b], None);
     let (ra, rb) = (batch[0].outcome.as_ref(), batch[1].outcome.as_ref());
     assert_eq!(ra.unwrap(), rb.unwrap());
 }
@@ -139,7 +139,7 @@ fn jsonl_roundtrip_through_files_matches_in_memory_serving() {
         Some(Epsilon::new(100.0).unwrap()),
     );
     let service = ExplainService::new(registry).with_workers(2);
-    let responses = service.run_batch(parse_requests(BATCH.as_bytes()).unwrap());
+    let responses = service.run_batch(parse_requests(BATCH.as_bytes()).unwrap(), None);
     let mut bytes = Vec::new();
     write_responses(&responses, &mut bytes).unwrap();
     assert_eq!(bytes, in_memory, "file roundtrip changed the responses");

@@ -63,19 +63,15 @@ fn response_lines(
     granted: HashSet<u64>,
     workers: usize,
 ) -> Vec<String> {
-    let service = ExplainService::new(Arc::clone(registry)).with_workers(workers);
+    let service = ExplainService::new(Arc::clone(registry))
+        .with_workers(workers)
+        .with_options(BatchOptions {
+            deadline_ms: None,
+            granted,
+            checkpoint_every: None,
+        });
     let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
-    let opts = BatchOptions {
-        deadline_ms: None,
-        granted,
-        checkpoint_every: None,
-    };
-    let mut responses = service.run_batch_streamed(
-        requests,
-        &opts,
-        &dpx_dp::histogram::GeometricHistogram,
-        None,
-    );
+    let mut responses = service.run_batch(requests, None);
     responses.sort_by_key(|r| r.id);
     responses.iter().map(|r| r.to_json_line()).collect()
 }
