@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpclustx::quality::score::{glscore, GlScoreCache, Weights};
-use dpclustx::stage2::{select_combination_with_kernel, Stage2Kernel};
+use dpclustx::stage2::{select_combination, Stage2Kernel};
 use dpx_bench::counts_ablation::naive_build;
 use dpx_bench::{DatasetKind, ExperimentContext};
 use dpx_clustering::ClusteringMethod;
@@ -99,24 +99,17 @@ fn bench_counts_cache(c: &mut Criterion) {
 }
 
 fn bench_counts_kernels(c: &mut Criterion) {
-    // The same three kernels fig9_time's bench mode times; criterion gives
-    // the statistically careful version on a fixed mid-size input.
+    // The same kernels fig9_time's bench mode times; criterion gives the
+    // statistically careful version on a fixed mid-size input.
     let synth = DatasetKind::Diabetes.generate(100_000, 5, 42);
     let (data, labels) = (&synth.data, &synth.latent_groups);
     let mut g = c.benchmark_group("counts");
     g.bench_function("naive", |b| b.iter(|| naive_build(data, labels, 5)));
-    g.bench_function("flat_serial", |b| {
-        b.iter(|| ClusteredCounts::build(data, labels, 5))
-    });
-    for threads in [2usize, 4] {
-        // Forced: at 100 k rows the adaptive fallback would clamp these
-        // widths back to serial; the ablation wants the raw kernel.
+    for threads in [1usize, 2, 4] {
         g.bench_with_input(
-            BenchmarkId::new("flat_parallel", threads),
+            BenchmarkId::new("flat", threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| ClusteredCounts::build_parallel_forced(data, labels, 5, threads))
-            },
+            |b, &threads| b.iter(|| ClusteredCounts::build(data, labels, 5, threads)),
         );
     }
     g.finish();
@@ -151,15 +144,7 @@ fn bench_stage2_kernels(c: &mut Criterion) {
                 |b, &kernel| {
                     let mut rng = StdRng::seed_from_u64(7);
                     b.iter(|| {
-                        select_combination_with_kernel(
-                            &ctx.st,
-                            &candidates,
-                            w,
-                            eps,
-                            kernel,
-                            &mut rng,
-                        )
-                        .unwrap()
+                        select_combination(&ctx.st, &candidates, w, eps, kernel, &mut rng).unwrap()
                     })
                 },
             );

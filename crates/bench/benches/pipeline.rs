@@ -8,7 +8,7 @@ use dpclustx::counts::ScoreTable;
 use dpclustx::framework::{DpClustX, DpClustXConfig};
 use dpclustx::quality::score::Weights;
 use dpclustx::stage1::select_candidates;
-use dpclustx::stage2::select_combination;
+use dpclustx::stage2::{select_combination, Stage2Kernel};
 use dpx_bench::{DatasetKind, ExperimentContext};
 use dpx_clustering::ClusteringMethod;
 use dpx_dp::budget::Epsilon;
@@ -31,7 +31,7 @@ fn bench_stage1(c: &mut Criterion) {
     let eps = Epsilon::new(0.1).unwrap();
     c.bench_function("stage1/select_candidates/5-clusters", |b| {
         let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| select_candidates(&ctx.st, (0.5, 0.5), eps, 3, &mut rng).unwrap())
+        b.iter(|| select_candidates(&ctx.st, (0.5, 0.5), eps, 3, 1, &mut rng).unwrap())
     });
 }
 
@@ -49,9 +49,9 @@ fn bench_stage2(c: &mut Criterion) {
             &n_clusters,
             |b, _| {
                 let mut rng = StdRng::seed_from_u64(2);
+                let (w, kernel) = (Weights::equal(), Stage2Kernel::SequentialRng);
                 b.iter(|| {
-                    select_combination(&ctx.st, &candidates, Weights::equal(), eps, &mut rng)
-                        .unwrap()
+                    select_combination(&ctx.st, &candidates, w, eps, kernel, &mut rng).unwrap()
                 })
             },
         );
@@ -84,7 +84,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 fn bench_counts_build(c: &mut Criterion) {
     let ctx = context(5);
     c.bench_function("counts/clustered_counts_build", |b| {
-        b.iter(|| dpx_data::contingency::ClusteredCounts::build(&ctx.data, &ctx.labels, 5))
+        b.iter(|| dpx_data::contingency::ClusteredCounts::build(&ctx.data, &ctx.labels, 5, 1))
     });
     c.bench_function("counts/score_table_from_counts", |b| {
         b.iter(|| ScoreTable::from_clustered_counts(&ctx.counts))

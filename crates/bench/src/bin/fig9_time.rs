@@ -8,18 +8,19 @@
 //! * `rows`       — 9d: time vs fraction of tuples used.
 //! * `bench`      — machine-readable perf harness: emits `BENCH_fig9.json`
 //!   (default `results/BENCH_fig9.json`, override with `--out`) containing
-//!   the counts-kernel ablation (naive PR-1 build vs the frozen serial
-//!   reference vs the optimized worker-claimed kernel at each swept thread
-//!   count, default `1,2,4,8`) over rows, attribute subsets, and cluster
-//!   counts; the serial-vs-parallel **crossover sweep** (the measured row
-//!   count where the parallel kernel starts winning, `crossover.crossover_rows`);
-//!   the **incremental ablation** (`apply_delta` on a `--delta-fraction`
-//!   tail vs a full rebuild, `incremental.speedup_vs_rebuild`); plus the
-//!   Stage-2 kernel sweep: leaf rates for the recursive DFS reference, the
-//!   streaming sequential-RNG enumerator, and the counter-based
-//!   serial/parallel kernels, with counter serial/parallel argmax equality
-//!   asserted before any timing is trusted. Counts cells are timed as
-//!   warmup + min-of-runs (see `counts_ablation::time_runs`).
+//!   the host's `available_parallelism`; the counts-kernel ablation (naive
+//!   PR-1 build vs the flat kernel at each swept thread count, default
+//!   `1,2,4,8`) over rows, attribute subsets, and cluster counts; the
+//!   **incremental ablation** (`apply_delta` on a `--delta-fraction` tail vs
+//!   a full rebuild, `incremental.speedup_vs_rebuild`); plus the Stage-2
+//!   kernel sweep: leaf rates for the streaming sequential-RNG enumerator
+//!   and the counter-based serial kernel and parallel kernel at each swept
+//!   thread count above 1, with counter serial/parallel argmax equality
+//!   asserted before any timing is trusted. Every counts and Stage-2 cell
+//!   whose thread count exceeds the host's parallelism is marked
+//!   `"oversubscribed": true`, and the Stage-2 headline credits the widest
+//!   counter-parallel kernel that is not. Counts cells are timed as warmup +
+//!   min-of-runs (see `counts_ablation::time_runs`).
 //!
 //! ```text
 //! cargo run -p dpx-bench --release --bin fig9_time -- --mode clusters
@@ -29,13 +30,9 @@
 
 use dpclustx::engine::{ExplainEngine, NoopObserver};
 use dpclustx::framework::DpClustXConfig;
-use dpclustx::stage2::{
-    select_combination_counted_recursive, select_combination_with_kernel, Stage2Kernel,
-};
+use dpclustx::stage2::{select_combination, Stage2Kernel};
 use dpclustx::Weights;
-use dpx_bench::counts_ablation::{
-    run_counts_ablation, run_crossover_sweep, run_incremental_ablation, CountsAblation,
-};
+use dpx_bench::counts_ablation::{run_counts_ablation, run_incremental_ablation, CountsAblation};
 use dpx_bench::table::{mean, Table};
 use dpx_bench::{Args, DatasetKind, ExperimentContext, Json};
 use dpx_clustering::ClusteringMethod;
@@ -208,8 +205,9 @@ fn main() {
     }
 }
 
-/// Renders one counts-ablation cell as a JSON object.
-fn ablation_json(abl: &CountsAblation) -> Json {
+/// Renders one counts-ablation cell as a JSON object; kernels asked for more
+/// threads than the host's `parallelism` are marked oversubscribed.
+fn ablation_json(abl: &CountsAblation, parallelism: usize) -> Json {
     let kernels: Vec<Json> = abl
         .timings
         .iter()
@@ -218,6 +216,7 @@ fn ablation_json(abl: &CountsAblation) -> Json {
                 .field("kernel", t.kernel.as_str())
                 .field("seconds", t.seconds)
                 .field("speedup_vs_naive", t.speedup_vs_naive)
+                .field("oversubscribed", t.threads > parallelism)
         })
         .collect();
     Json::object()
@@ -239,21 +238,21 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
     let n_clusters = args.usize("clusters", 9);
     let threads = args.usize_list("threads", &[1, 2, 4, 8]);
     let row_counts = args.usize_list("rows-sweep", &[base_rows / 4, base_rows / 2, base_rows]);
-    let crossover_rows_swept = args.usize_list(
-        "crossover-sweep",
-        &[
-            base_rows / 100,
-            base_rows / 20,
-            base_rows / 10,
-            base_rows / 4,
-            base_rows,
-        ],
-    );
     let delta_fraction = args.f64("delta-fraction", 0.01);
     let attr_fractions = args.f64_list("attr-fractions", &[0.25, 0.5, 1.0]);
     let cluster_counts = args.usize_list("clusters-sweep", &[3, n_clusters]);
     let ks = args.usize_list("k", &[2, 3, 4]);
     let out = args.string("out", "results/BENCH_fig9.json");
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    // The widest swept thread count the host can run without
+    // oversubscribing — the worker count the rebuild baselines use.
+    let widest = threads
+        .iter()
+        .copied()
+        .filter(|&t| t <= parallelism)
+        .max()
+        .unwrap_or(1)
+        .max(1);
 
     eprintln!("# generating {} rows of {}", base_rows, kind.name());
     let synth = kind.generate(base_rows, n_clusters, seed);
@@ -297,123 +296,91 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         .expect("rows sweep is non-empty")
         .clone();
 
-    // Serial-vs-parallel crossover: prefixes of the dataset, frozen serial
-    // reference against the forced kernel at the widest swept thread count.
-    let crossover_threads = threads.iter().copied().max().unwrap_or(1);
-    eprintln!("# crossover sweep at {crossover_threads} threads");
-    let (crossover_points, crossover_rows) = run_crossover_sweep(
-        &data,
-        &labels,
-        n_clusters,
-        crossover_threads,
-        &crossover_rows_swept,
-        runs,
-    );
-
     // Incremental path: append the last `delta_fraction` of the rows to a
-    // warm build and compare against rebuilding everything.
+    // warm build and compare against rebuilding everything at `widest`.
     eprintln!("# incremental ablation: {delta_fraction} delta fraction");
-    let incremental = run_incremental_ablation(
-        &data,
-        &labels,
-        n_clusters,
-        delta_fraction,
-        crossover_threads,
-        runs,
-    );
+    let incremental =
+        run_incremental_ablation(&data, &labels, n_clusters, delta_fraction, widest, runs);
 
-    // Stage-2 kernel sweep on the real score table: the recursive DFS
-    // reference and the streaming sequential-RNG enumerator share one noise
-    // stream (twin RNGs double as an equivalence check), and the counter
-    // kernels must agree with each other bit-for-bit — both asserted on
-    // every run before the timings are trusted.
-    let counts = ClusteredCounts::build_parallel(
-        &data,
-        &labels,
-        n_clusters,
-        threads.last().copied().unwrap_or(1),
-    );
+    // Stage-2 kernel sweep on the real score table: the counter kernels must
+    // agree with each other bit-for-bit — asserted on every run before the
+    // timings are trusted.
+    let counts = ClusteredCounts::build(&data, &labels, n_clusters, widest);
     let st = dpclustx::ScoreTable::from_clustered_counts(&counts);
     let eps = Epsilon::new(1.0).expect("1.0 is a valid epsilon");
-    let par_threads = threads.last().copied().unwrap_or(4).max(1);
+    let mut kernels = vec![Stage2Kernel::SequentialRng, Stage2Kernel::CounterSerial];
+    kernels.extend(
+        threads
+            .iter()
+            .filter(|&&t| t > 1)
+            .map(|&t| Stage2Kernel::CounterParallel(t)),
+    );
+    let kernel_threads = |kernel: &Stage2Kernel| match kernel {
+        Stage2Kernel::CounterParallel(t) => *t,
+        _ => 1,
+    };
+    // The headline credits the widest counter kernel the host can actually
+    // run in parallel: counter-parallel/N for the largest swept N within the
+    // host's parallelism, or counter-serial (index 1) when every N
+    // oversubscribes.
+    let head_kernel = (1..kernels.len())
+        .filter(|&i| kernel_threads(&kernels[i]) <= parallelism)
+        .max_by_key(|&i| kernel_threads(&kernels[i]))
+        .unwrap_or(1);
     let mut stage2_cells = Vec::new();
-    // (k, leaves, sequential and counter-parallel leaf rates) at the largest
-    // swept k — the acceptance headline.
+    // (k, leaves, sequential and headline-kernel leaf rates) at the largest
+    // swept k.
     let mut stage2_headline: Option<(usize, u64, f64, f64)> = None;
     for &k in &ks {
         let k = k.max(1).min(data.schema().arity());
         let candidates: Vec<Vec<usize>> = (0..n_clusters).map(|_| (0..k).collect()).collect();
         eprintln!("# stage-2 kernels: k={k} ({n_clusters} clusters)");
-        let kernels = [
-            Stage2Kernel::SequentialRng,
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(par_threads),
-        ];
-        let mut rec_secs = 0.0;
-        let mut secs = [0.0f64; 3];
+        let mut secs = vec![0.0f64; kernels.len()];
         let mut leaves = 0u64;
         for run in 0..runs.max(1) {
             let run_seed = seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let t0 = Instant::now();
-            let (sel_rec, n_rec) = select_combination_counted_recursive(
-                &st,
-                &candidates,
-                Weights::default(),
-                eps,
-                &mut rng,
-            )
-            .expect("non-empty candidate sets");
-            rec_secs += t0.elapsed().as_secs_f64();
             let mut sels = Vec::with_capacity(kernels.len());
             for (i, &kernel) in kernels.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(run_seed);
                 let t0 = Instant::now();
-                let (sel, n) = select_combination_with_kernel(
-                    &st,
-                    &candidates,
-                    Weights::default(),
-                    eps,
-                    kernel,
-                    &mut rng,
-                )
-                .expect("non-empty candidate sets");
+                let (sel, n) =
+                    select_combination(&st, &candidates, Weights::default(), eps, kernel, &mut rng)
+                        .expect("non-empty candidate sets");
                 secs[i] += t0.elapsed().as_secs_f64();
-                assert_eq!(n, n_rec, "kernels cover different combination counts");
+                assert!(
+                    leaves == 0 || n == leaves,
+                    "kernels cover different combination counts"
+                );
+                leaves = n;
                 sels.push(sel);
             }
-            assert_eq!(
-                sels[0], sel_rec,
-                "sequential kernel disagrees with the DFS reference"
-            );
-            assert_eq!(
-                sels[1], sels[2],
-                "counter-serial and counter-parallel disagree on the argmax"
-            );
-            leaves = n_rec;
+            for (sel, kernel) in sels[2..].iter().zip(&kernels[2..]) {
+                assert_eq!(
+                    sel,
+                    &sels[1],
+                    "counter-serial and {} disagree on the argmax",
+                    kernel.label()
+                );
+            }
         }
         let n = runs.max(1) as f64;
-        let rec_secs = rec_secs / n;
         let seq_secs = secs[0] / n;
-        let mut kernel_cells = vec![Json::object()
-            .field("kernel", "recursive-dfs")
-            .field("seconds", rec_secs)
-            .field("leaves_per_sec", leaves as f64 / rec_secs)
-            .field("speedup_vs_sequential", seq_secs / rec_secs)];
-        for (i, &kernel) in kernels.iter().enumerate() {
-            let s = secs[i] / n;
+        let mut kernel_cells = Vec::with_capacity(kernels.len());
+        for (kernel, &total) in kernels.iter().zip(&secs) {
+            let s = total / n;
             kernel_cells.push(
                 Json::object()
                     .field("kernel", kernel.label())
                     .field("seconds", s)
                     .field("leaves_per_sec", leaves as f64 / s)
-                    .field("speedup_vs_sequential", seq_secs / s),
+                    .field("speedup_vs_sequential", seq_secs / s)
+                    .field("oversubscribed", kernel_threads(kernel) > parallelism),
             );
         }
-        let par_rate = leaves as f64 / (secs[2] / n);
+        let head_rate = leaves as f64 / (secs[head_kernel] / n);
         let seq_rate = leaves as f64 / seq_secs;
         if stage2_headline.is_none_or(|(hk, ..)| k >= hk) {
-            stage2_headline = Some((k, leaves, seq_rate, par_rate));
+            stage2_headline = Some((k, leaves, seq_rate, head_rate));
         }
         stage2_cells.push(
             Json::object()
@@ -423,25 +390,32 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
                 .field("kernels", kernel_cells),
         );
     }
-    let (hk, hleaves, seq_rate, par_rate) =
+    let (hk, hleaves, seq_rate, head_rate) =
         stage2_headline.expect("at least one k in the stage-2 sweep");
     let stage2_headline = Json::object()
         .field("clusters", n_clusters)
         .field("k", hk)
         .field("leaves", hleaves)
         .field("sequential_leaves_per_sec", seq_rate)
-        .field(
-            "counter_parallel_kernel",
-            format!("counter-parallel/{par_threads}"),
-        )
-        .field("counter_parallel_leaves_per_sec", par_rate)
-        .field("speedup", par_rate / seq_rate);
+        .field("counter_parallel_kernel", kernels[head_kernel].label())
+        .field("counter_parallel_leaves_per_sec", head_rate)
+        .field("speedup", head_rate / seq_rate);
 
+    let cells_json = |cells: &[CountsAblation]| {
+        cells
+            .iter()
+            .map(|c| ablation_json(c, parallelism))
+            .collect::<Vec<_>>()
+    };
     let doc = Json::object()
         .field("bench", "fig9")
         .field("dataset", kind.name())
         .field("seed", seed)
         .field("runs", runs)
+        .field(
+            "host",
+            Json::object().field("available_parallelism", parallelism),
+        )
         .field(
             "threads",
             threads
@@ -449,48 +423,13 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
                 .map(|&t| Json::Num(t as f64))
                 .collect::<Vec<_>>(),
         )
-        .field("headline", ablation_json(&headline))
+        .field("headline", ablation_json(&headline, parallelism))
         .field(
             "sweeps",
             Json::object()
-                .field(
-                    "rows",
-                    rows_cells.iter().map(ablation_json).collect::<Vec<_>>(),
-                )
-                .field(
-                    "attributes",
-                    attr_cells.iter().map(ablation_json).collect::<Vec<_>>(),
-                )
-                .field(
-                    "clusters",
-                    cluster_cells.iter().map(ablation_json).collect::<Vec<_>>(),
-                ),
-        )
-        .field(
-            "crossover",
-            Json::object()
-                .field("threads", crossover_threads)
-                .field(
-                    "points",
-                    crossover_points
-                        .iter()
-                        .map(|p| {
-                            Json::object()
-                                .field("rows", p.rows)
-                                .field("serial_seconds", p.serial_seconds)
-                                .field("parallel_seconds", p.parallel_seconds)
-                        })
-                        .collect::<Vec<_>>(),
-                )
-                .field(
-                    "crossover_rows",
-                    // The bench Json has no null variant; NaN renders as
-                    // `null`, which is the "never crossed over" encoding.
-                    match crossover_rows {
-                        Some(r) => Json::Num(r as f64),
-                        None => Json::Num(f64::NAN),
-                    },
-                ),
+                .field("rows", cells_json(&rows_cells))
+                .field("attributes", cells_json(&attr_cells))
+                .field("clusters", cells_json(&cluster_cells)),
         )
         .field(
             "incremental",
@@ -522,14 +461,7 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         ]);
     }
     table.print();
-    match crossover_rows {
-        Some(r) => println!(
-            "crossover: parallel/{crossover_threads} beats the serial reference from {r} rows"
-        ),
-        None => println!(
-            "crossover: parallel/{crossover_threads} never beat the serial reference in the sweep"
-        ),
-    }
+    println!("host: available_parallelism = {parallelism}");
     println!(
         "incremental: apply_delta on {} rows = {:.4}s vs {:.4}s rebuild ({:.1}x)",
         incremental.delta_rows,
@@ -538,8 +470,9 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         incremental.speedup_vs_rebuild
     );
     println!(
-        "stage-2 headline (c={n_clusters}, k={hk}): counter-parallel/{par_threads} at \
-         {par_rate:.0} leaves/s = {:.2}x sequential ({seq_rate:.0} leaves/s)",
-        par_rate / seq_rate
+        "stage-2 headline (c={n_clusters}, k={hk}): {} at {head_rate:.0} leaves/s = {:.2}x \
+         sequential ({seq_rate:.0} leaves/s)",
+        kernels[head_kernel].label(),
+        head_rate / seq_rate
     );
 }

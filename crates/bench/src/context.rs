@@ -40,12 +40,12 @@ impl ExperimentContext {
     }
 
     /// Builds a context from existing data and labels (used by the sampling
-    /// and correlation experiments). Counts come from the chunked parallel
-    /// kernel — bit-identical to the serial build, so prepared-counts
-    /// experiments are unaffected by the machine's core count.
+    /// and correlation experiments). Counts come from the chunked kernel —
+    /// bit-identical at every thread count, so prepared-counts experiments
+    /// are unaffected by the machine's core count.
     pub fn from_parts(data: Dataset, labels: Vec<usize>, n_clusters: usize) -> Self {
         let threads = dpx_runtime::default_threads(data.n_rows());
-        let counts = ClusteredCounts::build_parallel(&data, &labels, n_clusters, threads);
+        let counts = ClusteredCounts::build(&data, &labels, n_clusters, threads);
         let st = ScoreTable::from_clustered_counts(&counts);
         ExperimentContext {
             data,

@@ -1,31 +1,26 @@
-//! The `counts` ablation: flat parallel counting kernel vs the PR-1 naive
-//! serial build.
+//! The `counts` ablation: the flat counting kernel at each swept worker
+//! count vs the PR-1 naive serial build.
 //!
 //! Shared by the criterion `ablations` bench (group `counts`) and the
 //! `fig9_time --mode bench` JSON emitter, so `results/bench_ablations.txt`
-//! and `BENCH_fig9.json` measure exactly the same three kernels:
+//! and `BENCH_fig9.json` measure exactly the same kernels:
 //!
-//! * **naive** — the historical (PR-1) `ClusteredCounts::build`: one serial
-//!   column scan per attribute into nested `Vec<Vec<u64>>`, with a label
-//!   bounds-check per row and marginal/size increments inline. Re-implemented
-//!   here verbatim as the ablation baseline.
-//! * **serial** — the frozen serial reference (`ClusteredCounts::build`):
-//!   labels validated once up front, one contiguous stride-indexed table per
-//!   attribute, marginal and sizes derived by exact sums after the scan.
-//! * **parallel** — the optimized worker-claimed kernel
-//!   (`build_parallel_forced`): labels narrowed once, adjacent attribute
-//!   pairs fused into joint tables, chunks claimed off an atomic counter
-//!   into per-worker reused accumulators, pairwise tree merge.
+//! * **naive** — the historical (PR-1) counts build: one serial column scan
+//!   per attribute into nested `Vec<Vec<u64>>`, with a label bounds-check per
+//!   row and marginal/size increments inline. Re-implemented here verbatim
+//!   as the ablation baseline.
+//! * **parallel/N** — [`ClusteredCounts::build`] with `N` workers: labels
+//!   narrowed once, adjacent attribute pairs fused into joint tables, chunks
+//!   claimed off an atomic counter into per-worker reused accumulators,
+//!   pairwise tree merge. `parallel/1` is the same kernel on the calling
+//!   thread.
 //!
 //! All cells are timed as **one warmup + minimum over the timed runs**
 //! ([`time_runs`]): the kernels are deterministic, so scheduler noise only
 //! ever inflates a sample and the min is the reproducible estimator.
 //!
-//! Two further measurements ride along for `BENCH_fig9.json`:
-//! [`run_incremental_ablation`] (the O(delta) `apply_delta` path vs a full
-//! rebuild) and [`run_crossover_sweep`] (the row count where the parallel
-//! kernel starts beating the serial reference — the measurement behind
-//! `effective_build_threads`).
+//! [`run_incremental_ablation`] rides along for `BENCH_fig9.json`: the
+//! O(delta) `apply_delta` path vs a full rebuild.
 
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Dataset;
@@ -80,8 +75,10 @@ pub fn naive_build(data: &Dataset, labels: &[usize], n_clusters: usize) -> Naive
 /// One timed cell of the counts ablation.
 #[derive(Debug, Clone)]
 pub struct CountsTiming {
-    /// Kernel label: `"naive"`, `"serial"`, or `"parallel/<threads>"`.
+    /// Kernel label: `"naive"` or `"parallel/<threads>"`.
     pub kernel: String,
+    /// Worker threads the kernel was asked for (the naive build is serial).
+    pub threads: usize,
     /// Best (minimum) seconds per build over the timing runs.
     pub seconds: f64,
     /// Speedup of this kernel over the naive baseline.
@@ -117,11 +114,11 @@ pub fn time_runs<F: FnMut()>(runs: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Runs the counts ablation: times the naive baseline, the flat serial
-/// kernel, and the flat parallel kernel at each entry of `threads`, and
-/// verifies on the way that all three agree on every count (the correctness
-/// half of the ablation — a kernel that is fast but wrong would fail here,
-/// not produce a bogus speedup).
+/// Runs the counts ablation: times the naive baseline and the flat kernel
+/// at each entry of `threads`, and verifies on the way that every kernel
+/// agrees with the naive build on every count (the correctness half of the
+/// ablation — a kernel that is fast but wrong would fail here, not produce a
+/// bogus speedup).
 pub fn run_counts_ablation(
     data: &Dataset,
     labels: &[usize],
@@ -130,29 +127,19 @@ pub fn run_counts_ablation(
     runs: usize,
 ) -> CountsAblation {
     // Cross-check the kernels before timing them.
-    let reference = ClusteredCounts::build(data, labels, n_clusters);
     let naive = naive_build(data, labels, n_clusters);
-    for a in 0..reference.n_attributes() {
-        let t = reference.table(a);
-        for c in 0..n_clusters {
-            assert_eq!(
-                t.cluster_row(c),
-                &naive.cluster_counts[a][c][..],
-                "flat kernel disagrees with naive baseline (attr {a}, cluster {c})"
-            );
-        }
-        assert_eq!(t.marginal(), &naive.marginal[a][..], "marginal (attr {a})");
-    }
     for &n in threads {
-        // Forced: the ablation measures the raw chunked kernel on both sides
-        // of the crossover, so the adaptive fallback must not rewrite `n`.
-        let par = ClusteredCounts::build_parallel_forced(data, labels, n_clusters, n);
-        for a in 0..reference.n_attributes() {
-            assert_eq!(
-                par.table(a).flat(),
-                reference.table(a).flat(),
-                "parallel({n}) kernel not bit-identical (attr {a})"
-            );
+        let flat = ClusteredCounts::build(data, labels, n_clusters, n);
+        for a in 0..flat.n_attributes() {
+            let t = flat.table(a);
+            for c in 0..n_clusters {
+                assert_eq!(
+                    t.cluster_row(c),
+                    &naive.cluster_counts[a][c][..],
+                    "parallel({n}) kernel disagrees with naive baseline (attr {a}, cluster {c})"
+                );
+            }
+            assert_eq!(t.marginal(), &naive.marginal[a][..], "marginal (attr {a})");
         }
     }
 
@@ -161,25 +148,17 @@ pub fn run_counts_ablation(
     });
     let mut timings = vec![CountsTiming {
         kernel: "naive".into(),
+        threads: 1,
         seconds: naive_secs,
         speedup_vs_naive: 1.0,
     }];
-    let serial_secs = time_runs(runs, || {
-        std::hint::black_box(ClusteredCounts::build(data, labels, n_clusters));
-    });
-    timings.push(CountsTiming {
-        kernel: "serial".into(),
-        seconds: serial_secs,
-        speedup_vs_naive: naive_secs / serial_secs,
-    });
     for &n in threads {
         let secs = time_runs(runs, || {
-            std::hint::black_box(ClusteredCounts::build_parallel_forced(
-                data, labels, n_clusters, n,
-            ));
+            std::hint::black_box(ClusteredCounts::build(data, labels, n_clusters, n));
         });
         timings.push(CountsTiming {
             kernel: format!("parallel/{n}"),
+            threads: n,
             seconds: secs,
             speedup_vs_naive: naive_secs / secs,
         });
@@ -202,8 +181,8 @@ pub struct IncrementalAblation {
     /// Seconds to clone the warm counts and fold the delta in — the exact
     /// path the serve layer takes on a dataset append.
     pub apply_delta_seconds: f64,
-    /// Seconds to rebuild the full counts from scratch with the optimized
-    /// kernel (`build_parallel`, same threads the serve layer would use).
+    /// Seconds to rebuild the full counts from scratch
+    /// ([`ClusteredCounts::build`] at the given worker count).
     pub rebuild_seconds: f64,
     /// `rebuild_seconds / apply_delta_seconds`.
     pub speedup_vs_rebuild: f64,
@@ -227,8 +206,8 @@ pub fn run_incremental_ablation(
     let delta = data.select_rows(&(split..n).collect::<Vec<_>>());
     let empty = Dataset::empty(data.schema().clone());
 
-    let warm = ClusteredCounts::build_parallel(&base, &labels[..split], n_clusters, threads);
-    let reference = ClusteredCounts::build(data, labels, n_clusters);
+    let warm = ClusteredCounts::build(&base, &labels[..split], n_clusters, threads);
+    let reference = ClusteredCounts::build(data, labels, n_clusters, threads);
     let mut check = warm.clone();
     check.apply_delta(&delta, &labels[split..], &empty, &[]);
     assert_eq!(
@@ -245,9 +224,7 @@ pub fn run_incremental_ablation(
         std::hint::black_box(counts);
     });
     let rebuild_seconds = time_runs(runs, || {
-        std::hint::black_box(ClusteredCounts::build_parallel(
-            data, labels, n_clusters, threads,
-        ));
+        std::hint::black_box(ClusteredCounts::build(data, labels, n_clusters, threads));
     });
     IncrementalAblation {
         rows: n,
@@ -256,56 +233,6 @@ pub fn run_incremental_ablation(
         rebuild_seconds,
         speedup_vs_rebuild: rebuild_seconds / apply_delta_seconds,
     }
-}
-
-/// One row-count point of the serial-vs-parallel crossover sweep.
-#[derive(Debug, Clone)]
-pub struct CrossoverPoint {
-    /// Rows counted.
-    pub rows: usize,
-    /// Reference serial build ([`ClusteredCounts::build`]) seconds.
-    pub serial_seconds: f64,
-    /// Optimized kernel at `threads` ([`ClusteredCounts::build_parallel_forced`]).
-    pub parallel_seconds: f64,
-}
-
-/// Sweeps prefixes of `data` and times the frozen serial reference against
-/// the forced parallel kernel, returning the measured points plus the
-/// smallest swept row count at which the parallel kernel wins (`None` if it
-/// never does). This is the measurement behind the
-/// `effective_build_threads` sizing policy.
-pub fn run_crossover_sweep(
-    data: &Dataset,
-    labels: &[usize],
-    n_clusters: usize,
-    threads: usize,
-    row_counts: &[usize],
-    runs: usize,
-) -> (Vec<CrossoverPoint>, Option<usize>) {
-    let mut points = Vec::new();
-    for &r in row_counts {
-        let r = r.min(data.n_rows()).max(1);
-        let d = data.select_rows(&(0..r).collect::<Vec<_>>());
-        let l = &labels[..r];
-        let serial_seconds = time_runs(runs, || {
-            std::hint::black_box(ClusteredCounts::build(&d, l, n_clusters));
-        });
-        let parallel_seconds = time_runs(runs, || {
-            std::hint::black_box(ClusteredCounts::build_parallel_forced(
-                &d, l, n_clusters, threads,
-            ));
-        });
-        points.push(CrossoverPoint {
-            rows: r,
-            serial_seconds,
-            parallel_seconds,
-        });
-    }
-    let crossover_rows = points
-        .iter()
-        .find(|p| p.parallel_seconds <= p.serial_seconds)
-        .map(|p| p.rows);
-    (points, crossover_rows)
 }
 
 #[cfg(test)]
@@ -319,7 +246,7 @@ mod tests {
         let abl = run_counts_ablation(&synth.data, &synth.latent_groups, 3, &[2, 4], 1);
         assert_eq!(abl.rows, 2_000);
         assert_eq!(abl.attributes, 47);
-        assert_eq!(abl.timings.len(), 4);
+        assert_eq!(abl.timings.len(), 3);
         assert_eq!(abl.timings[0].kernel, "naive");
         assert!(abl.timings.iter().all(|t| t.seconds > 0.0));
     }
@@ -333,18 +260,5 @@ mod tests {
         assert!(inc.apply_delta_seconds > 0.0);
         assert!(inc.rebuild_seconds > 0.0);
         assert!(inc.speedup_vs_rebuild > 0.0);
-    }
-
-    #[test]
-    fn crossover_sweep_reports_each_point_once() {
-        let synth = DatasetKind::Diabetes.generate(3_000, 3, 5);
-        let (points, crossover) =
-            run_crossover_sweep(&synth.data, &synth.latent_groups, 3, 2, &[500, 3_000], 1);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].rows, 500);
-        assert_eq!(points[1].rows, 3_000);
-        if let Some(c) = crossover {
-            assert!(points.iter().any(|p| p.rows == c));
-        }
     }
 }

@@ -107,7 +107,7 @@ mod tests {
             .collect();
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels: Vec<usize> = (0..400).map(|i| i % 2).collect();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let st = ScoreTable::from_clustered_counts(&counts);
         for e in Explainer::all() {
             let mut rng = StdRng::seed_from_u64(5);

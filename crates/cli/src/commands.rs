@@ -170,12 +170,8 @@ fn explain<W: std::io::Write>(cli: &Cli, out: &mut W, evaluate: bool) -> Result<
     }
 
     if evaluate {
-        let counts = ClusteredCounts::build_parallel(
-            &data,
-            &labels,
-            n_clusters,
-            default_threads(data.n_rows()),
-        );
+        let counts =
+            ClusteredCounts::build(&data, &labels, n_clusters, default_threads(data.n_rows()));
         let st = ScoreTable::from_clustered_counts(&counts);
         let evaluator = QualityEvaluator::new(&st, config.weights);
         let reference = tabee::select(&st, config.k, config.weights);
@@ -835,8 +831,7 @@ fn rank<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = method.fit(&data, n_clusters, &mut rng);
     let labels = model.assign_all(&data);
-    let counts =
-        ClusteredCounts::build_parallel(&data, &labels, n_clusters, default_threads(data.n_rows()));
+    let counts = ClusteredCounts::build(&data, &labels, n_clusters, default_threads(data.n_rows()));
     let st = ScoreTable::from_clustered_counts(&counts);
     let gamma = cli.weights()?.gamma();
 

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn budget_accounting_is_exact() {
         let (data, labels) = dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(1);
         let eps = Epsilon::new(0.8).unwrap();
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn finds_signal_at_generous_epsilon() {
         let (data, labels) = dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut r = StdRng::seed_from_u64(2);
         let ac = select(
             &counts,
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn noisy_table_shape_matches_exact() {
         let (data, labels) = dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(3);
         let st = noisy_score_table(
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (data, labels) = dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let run = |seed: u64| {
             let mut r = StdRng::seed_from_u64(seed);
             select(

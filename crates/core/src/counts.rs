@@ -173,7 +173,7 @@ mod tests {
         let rows = vec![vec![0, 0], vec![0, 1], vec![1, 1], vec![2, 1], vec![2, 0]];
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels = vec![0usize, 0, 1, 1, 0];
-        let cc = ClusteredCounts::build(&data, &labels, 2);
+        let cc = ClusteredCounts::build(&data, &labels, 2, 1);
         ScoreTable::from_clustered_counts(&cc)
     }
 

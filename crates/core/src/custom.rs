@@ -142,7 +142,7 @@ mod tests {
     use crate::counts::AttrCounts;
     use crate::quality::score::{glscore, Weights};
     use crate::stage1::select_candidates;
-    use crate::stage2::select_combination;
+    use crate::stage2::{select_combination, Stage2Kernel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -162,7 +162,8 @@ mod tests {
         let score = standard_single_score((0.5, 0.5));
         let a =
             select_candidates_custom(&st, &score, eps, 2, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = select_candidates(&st, (0.5, 0.5), eps, 2, &mut StdRng::seed_from_u64(9)).unwrap();
+        let b =
+            select_candidates(&st, (0.5, 0.5), eps, 2, 1, &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(a, b, "same seed, same scores → identical candidate sets");
     }
 
@@ -205,8 +206,9 @@ mod tests {
             &mut StdRng::seed_from_u64(11),
         )
         .unwrap();
-        let b =
-            select_combination(&st, &candidates, w, eps, &mut StdRng::seed_from_u64(12)).unwrap();
+        let kernel = Stage2Kernel::SequentialRng;
+        let mut rng = StdRng::seed_from_u64(12);
+        let (b, _) = select_combination(&st, &candidates, w, eps, kernel, &mut rng).unwrap();
         // Ties are possible; the achieved GlScore must coincide.
         assert!((glscore(&st, &a, w) - glscore(&st, &b, w)).abs() < 1e-9);
     }

@@ -91,7 +91,7 @@ pub struct CountedTables {
 /// follower then finds the map still empty and runs the build itself, so a
 /// poisoned request can waste one build but never wedge the key. The map
 /// stays first-insert-wins underneath (builds are bit-identical by
-/// construction — [`ClusteredCounts::build_parallel`] is
+/// construction — [`ClusteredCounts::build`] is
 /// thread-count-invariant), so correctness never depends on who won; the
 /// flight set only removes the duplicated work.
 ///
@@ -408,8 +408,8 @@ impl ExplainContext {
 
     /// [`Self::tables`] with an explicit worker-thread count for the cache
     /// -miss build path: misses run the chunked count–merge kernel
-    /// ([`ClusteredCounts::build_parallel`]), which is bit-identical to the
-    /// serial build — so the cache never distinguishes thread counts.
+    /// ([`ClusteredCounts::build`]), which is bit-identical at every thread
+    /// count — so the cache never distinguishes thread counts.
     pub fn tables_with(
         &mut self,
         labels: &[usize],
@@ -422,7 +422,7 @@ impl ExplainContext {
         };
         let data = &self.data;
         self.cache.get_or_build(key, || {
-            let counts = ClusteredCounts::build_parallel(data, labels, n_clusters, threads);
+            let counts = ClusteredCounts::build(data, labels, n_clusters, threads);
             let table = ScoreTable::from_clustered_counts(&counts);
             CountedTables { counts, table }
         })
@@ -683,7 +683,7 @@ mod cache_bound_tests {
         let mut rng = StdRng::seed_from_u64(9);
         let data = diabetes::spec(2).generate(30, &mut rng).data;
         let labels: Vec<usize> = (0..30).map(|i| i % 2).collect();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let table = ScoreTable::from_clustered_counts(&counts);
         CountedTables { counts, table }
     }

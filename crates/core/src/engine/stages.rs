@@ -4,8 +4,8 @@ use super::{CountedTables, CountsKey, SharedCountsCache};
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
 use crate::framework::DpClustXConfig;
-use crate::stage1::{select_candidates_with, CandidateSets};
-use crate::stage2::{generate_histograms_with, select_combination_with_kernel, Stage2Kernel};
+use crate::stage1::{select_candidates, CandidateSets};
+use crate::stage2::{generate_histograms, select_combination, Stage2Kernel};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::{hash_labels, Dataset, Schema};
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -141,8 +141,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
                     let (tables, hit) = slot
                         .cache
                         .get_or_build_cancellable(key, slot.cancel.as_ref(), || {
-                            let counts =
-                                ClusteredCounts::build_parallel(data, labels, *n_clusters, threads);
+                            let counts = ClusteredCounts::build(data, labels, *n_clusters, threads);
                             let table = ScoreTable::from_clustered_counts(&counts);
                             CountedTables { counts, table }
                         })
@@ -151,8 +150,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
                     Tables::Shared(tables)
                 }
                 None => {
-                    let counts =
-                        ClusteredCounts::build_parallel(data, labels, *n_clusters, threads);
+                    let counts = ClusteredCounts::build(data, labels, *n_clusters, threads);
                     let table = ScoreTable::from_clustered_counts(&counts);
                     Tables::Shared(Arc::new(CountedTables { counts, table }))
                 }
@@ -191,7 +189,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CandidateSel
         } = state;
         let eps_cand = Epsilon::new(config.eps_cand_set)?;
         let table = tables.as_ref().expect("BuildCounts ran").table();
-        let sets = select_candidates_with(
+        let sets = select_candidates(
             table,
             config.weights.gamma(),
             eps_cand,
@@ -239,7 +237,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CombinationS
         let eps_comb = Epsilon::new(config.eps_top_comb)?;
         let table = tables.as_ref().expect("BuildCounts ran").table();
         let sets = candidates.as_ref().expect("CandidateSelection ran");
-        let (sel, leaves) = select_combination_with_kernel(
+        let (sel, leaves) = select_combination(
             table,
             sets,
             config.weights,
@@ -283,7 +281,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for HistogramRel
         let eps_hist = Epsilon::new(config.eps_hist.unwrap_or(f64::NAN))?;
         let t = tables.as_ref().expect("BuildCounts ran");
         let sel = assignment.as_ref().expect("CombinationSelection ran");
-        let expl = generate_histograms_with(
+        let expl = generate_histograms(
             schema,
             t.counts(),
             sel,

@@ -15,7 +15,7 @@ use crate::quality::diversity::pair_d;
 use crate::quality::interestingness::int_p;
 use crate::quality::score::Weights;
 use crate::quality::sufficiency::suf_p;
-use crate::stage2::generate_histograms_with;
+use crate::stage2::generate_histograms;
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Schema;
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -141,28 +141,13 @@ pub fn select_multi_combination<R: Rng + ?Sized>(
 /// cluster, parallel across clusters) — `ε_hist` total.
 ///
 /// Returns one [`GlobalExplanation`] per explanation slot (slot `j` holds
-/// every cluster's `j`-th histogram).
+/// every cluster's `j`-th histogram). Each slot's per-attribute and
+/// per-cluster releases fan out over up to `threads` workers through
+/// [`crate::stage2::generate_histograms`], with the same bit-for-bit
+/// determinism guarantee (slots stay sequential — they compose sequentially
+/// in ε and share the master RNG stream in slot order).
+#[allow(clippy::too_many_arguments)] // mirrors generate_histograms
 pub fn generate_multi_histograms<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
-    schema: &Schema,
-    counts: &ClusteredCounts,
-    assignment: &MultiCombination,
-    eps_hist: Epsilon,
-    mechanism: &M,
-    accountant: &mut Accountant,
-    rng: &mut R,
-) -> Result<Vec<GlobalExplanation>, DpError> {
-    generate_multi_histograms_with(
-        schema, counts, assignment, eps_hist, mechanism, accountant, 1, rng,
-    )
-}
-
-/// [`generate_multi_histograms`] with explicit worker-thread count: each
-/// slot's per-attribute and per-cluster releases fan out through
-/// [`crate::stage2::generate_histograms_with`], with the same
-/// bit-for-bit determinism guarantee (slots stay sequential — they compose
-/// sequentially in ε and share the master RNG stream in slot order).
-#[allow(clippy::too_many_arguments)] // mirrors generate_histograms_with
-pub fn generate_multi_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     schema: &Schema,
     counts: &ClusteredCounts,
     assignment: &MultiCombination,
@@ -188,7 +173,7 @@ pub fn generate_multi_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Si
     let mut out = Vec::with_capacity(ell);
     for j in 0..ell {
         let slot_assignment: Vec<usize> = assignment.iter().map(|s| s[j]).collect();
-        out.push(generate_histograms_with(
+        out.push(generate_histograms(
             schema,
             counts,
             &slot_assignment,
@@ -297,7 +282,7 @@ mod tests {
             .collect();
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels: Vec<usize> = (0..100).map(|i| i % 2).collect();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(3);
         let assignment: MultiCombination = vec![vec![0, 1], vec![0, 1]];
@@ -308,6 +293,7 @@ mod tests {
             Epsilon::new(0.4).unwrap(),
             &GeometricHistogram,
             &mut acc,
+            1,
             &mut r,
         )
         .unwrap();

@@ -24,26 +24,12 @@ pub type CandidateSets = Vec<Vec<usize>>;
 /// Runs Algorithm 1: returns the per-cluster top-`k` candidate attribute
 /// sets, satisfying `eps_cand_set`-DP overall (Proposition 5.1).
 ///
-/// `gamma` is `(γ_Int, γ_Suf)` (non-negative, sum 1).
+/// `gamma` is `(γ_Int, γ_Suf)` (non-negative, sum 1). Per-cluster scoring and
+/// top-k fan out over up to `threads` workers. Per-cluster RNGs are split
+/// from `rng` *up front* (one `u64` seed per cluster, drawn in cluster
+/// order), so every cluster's selection is a pure function of its seed and
+/// the results are **bit-identical for every `threads` value**.
 pub fn select_candidates<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    gamma: (f64, f64),
-    eps_cand_set: Epsilon,
-    k: usize,
-    rng: &mut R,
-) -> Result<CandidateSets, DpError> {
-    select_candidates_with(st, gamma, eps_cand_set, k, 1, rng)
-}
-
-/// [`select_candidates`] with explicit worker-thread count — the engine's
-/// Stage-1 entry point.
-///
-/// Per-cluster RNGs are split from `rng` *up front* (one `u64` seed per
-/// cluster, drawn in cluster order), so every cluster's scoring-plus-top-k is
-/// a pure function of its seed and the results are **bit-identical for every
-/// `threads` value**, including the `threads = 1` path that
-/// [`select_candidates`] takes.
-pub fn select_candidates_with<R: Rng + ?Sized>(
     st: &ScoreTable,
     gamma: (f64, f64),
     eps_cand_set: Epsilon,
@@ -142,8 +128,8 @@ mod tests {
     fn private_selection_matches_exact_at_high_epsilon() {
         let mut r = StdRng::seed_from_u64(1);
         let st = table();
-        let sets =
-            select_candidates(&st, (0.5, 0.5), Epsilon::new(10_000.0).unwrap(), 2, &mut r).unwrap();
+        let eps = Epsilon::new(10_000.0).unwrap();
+        let sets = select_candidates(&st, (0.5, 0.5), eps, 2, 1, &mut r).unwrap();
         let exact = select_candidates_exact(&st, (0.5, 0.5), 2);
         assert_eq!(sets, exact);
     }
@@ -157,7 +143,7 @@ mod tests {
         let mut seen = [false; 4];
         for seed in 0..200 {
             let mut r = StdRng::seed_from_u64(seed);
-            let sets = select_candidates(&st, (0.5, 0.5), eps, 1, &mut r).unwrap();
+            let sets = select_candidates(&st, (0.5, 0.5), eps, 1, 1, &mut r).unwrap();
             seen[sets[0][0]] = true;
         }
         assert!(seen.iter().all(|&s| s), "not near-uniform: {seen:?}");
@@ -166,8 +152,8 @@ mod tests {
     #[test]
     fn returns_one_set_per_cluster_of_size_k() {
         let mut r = StdRng::seed_from_u64(3);
-        let sets =
-            select_candidates(&table(), (0.5, 0.5), Epsilon::new(1.0).unwrap(), 3, &mut r).unwrap();
+        let eps = Epsilon::new(1.0).unwrap();
+        let sets = select_candidates(&table(), (0.5, 0.5), eps, 3, 1, &mut r).unwrap();
         assert_eq!(sets.len(), 2);
         for s in &sets {
             assert_eq!(s.len(), 3);
@@ -183,10 +169,10 @@ mod tests {
         let st = table();
         let eps = Epsilon::new(1.0).unwrap();
         for seed in 0..20 {
-            let seq = select_candidates(&st, (0.5, 0.5), eps, 2, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
+            let mut r = StdRng::seed_from_u64(seed);
+            let seq = select_candidates(&st, (0.5, 0.5), eps, 2, 1, &mut r).unwrap();
             for threads in [2, 4, 16] {
-                let par = select_candidates_with(
+                let par = select_candidates(
                     &st,
                     (0.5, 0.5),
                     eps,
@@ -204,8 +190,8 @@ mod tests {
     fn k_zero_or_too_large_rejected() {
         let mut r = StdRng::seed_from_u64(4);
         let eps = Epsilon::new(1.0).unwrap();
-        assert!(select_candidates(&table(), (0.5, 0.5), eps, 0, &mut r).is_err());
-        assert!(select_candidates(&table(), (0.5, 0.5), eps, 5, &mut r).is_err());
+        assert!(select_candidates(&table(), (0.5, 0.5), eps, 0, 1, &mut r).is_err());
+        assert!(select_candidates(&table(), (0.5, 0.5), eps, 5, 1, &mut r).is_err());
     }
 
     #[test]
@@ -232,7 +218,7 @@ mod tests {
         let mut violations = 0;
         for seed in 0..runs {
             let mut r = StdRng::seed_from_u64(seed);
-            let sets = select_candidates(&st, gamma, eps, k, &mut r).unwrap();
+            let sets = select_candidates(&st, gamma, eps, k, 1, &mut r).unwrap();
             let got = sscore(&st, 0, sets[0][0], gamma);
             if got < opt - bound {
                 violations += 1;

@@ -2,21 +2,22 @@
 //!
 //! Two private steps follow Stage-1's candidate sets:
 //!
-//! 1. **Combination selection** (line 5): the exponential mechanism over all
-//!    `k^|C|` attribute combinations drawn from the candidate sets, scored by
-//!    the sensitivity-1 `GlScore_λ`. Sampling uses the Gumbel-max trick so the
-//!    full combination space is enumerated exactly once, with incremental
-//!    (DFS) partial scores — no `k^|C|`-sized allocation. Three kernels share
-//!    that mechanism (selected by [`Stage2Kernel`]): the streaming
-//!    [`select_combination_counted`] reference, and the counter-based
-//!    [`select_combination_counter`] family, whose per-leaf PRF noise makes
-//!    the leaf space range-partitionable across threads and prunable by an
-//!    exact branch-and-bound bound — bit-identical for any thread count.
-//! 2. **Histogram release** (lines 6–15): noisy full-data histograms for the
-//!    *distinct* selected attributes at `ε_Hist/(2|A'|)` each (sequential
-//!    composition), noisy in-cluster histograms at `ε_Hist/2` each (parallel
-//!    composition across disjoint clusters), and out-of-cluster histograms by
-//!    clamped subtraction (post-processing, free).
+//! 1. **Combination selection** (line 5, [`select_combination`]): the
+//!    exponential mechanism over all `k^|C|` attribute combinations drawn
+//!    from the candidate sets, scored by the sensitivity-1 `GlScore_λ`.
+//!    Sampling uses the Gumbel-max trick so the full combination space is
+//!    enumerated exactly once, with incremental partial scores — no
+//!    `k^|C|`-sized allocation. Two kernels realize that mechanism (selected
+//!    by [`Stage2Kernel`]): the streaming sequential-RNG enumerator, and the
+//!    counter-based sweep, whose per-leaf PRF noise makes the leaf space
+//!    range-partitionable across threads and prunable by an exact
+//!    branch-and-bound bound — bit-identical for any thread count.
+//! 2. **Histogram release** (lines 6–15, [`generate_histograms`]): noisy
+//!    full-data histograms for the *distinct* selected attributes at
+//!    `ε_Hist/(2|A'|)` each (sequential composition), noisy in-cluster
+//!    histograms at `ε_Hist/2` each (parallel composition across disjoint
+//!    clusters), and out-of-cluster histograms by clamped subtraction
+//!    (post-processing, free).
 
 use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
@@ -33,39 +34,21 @@ use dpx_runtime::{chunk_worker_reduce, default_threads, ordered_parallel_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Selects the noisy-best attribute combination from the candidate sets with
-/// the exponential mechanism at `eps_top_comb` (Algorithm 2, line 5).
-///
-/// Returns the chosen attribute index per cluster.
-pub fn select_combination<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-    eps_top_comb: Epsilon,
-    rng: &mut R,
-) -> Result<AttributeCombination, DpError> {
-    select_combination_counted(st, candidates, weights, eps_top_comb, rng).map(|(sel, _)| sel)
-}
-
-/// [`select_combination`] plus the number of combination leaves the
-/// enumerator visited — which is exactly the number of Gumbel perturbations
-/// drawn. The engine observer reports this figure, and tests use it to prove
-/// the enumeration covers the whole `k^|C|` space without silently skipping
-/// combinations.
+/// The streaming `SequentialRng` kernel of [`select_combination`]: one
+/// [`sample_gumbel`] draw from `rng` per leaf, in leaf order.
 ///
 /// The enumerator is **iterative**: an odometer over the candidate sets
 /// (rightmost cluster fastest — the same lexicographic leaf order as the
-/// historical recursive DFS, kept as
-/// [`select_combination_counted_recursive`]) walking precomputed per-level
-/// gain slices with running prefix sums. For each prefix of fixed earlier
-/// choices, every candidate's marginal `GlScore` contribution at a level is
-/// materialized once into a slice; the innermost loop is then a slice read,
-/// one multiply-add, and one Gumbel draw per leaf — no recursion, no
-/// per-leaf pair-term scan. The arithmetic reuses
+/// historical recursive DFS, kept as a test oracle) walking precomputed
+/// per-level gain slices with running prefix sums. For each prefix of fixed
+/// earlier choices, every candidate's marginal `GlScore` contribution at a
+/// level is materialized once into a slice; the innermost loop is then a
+/// slice read, one multiply-add, and one Gumbel draw per leaf — no
+/// recursion, no per-leaf pair-term scan. The arithmetic reuses
 /// [`GlScoreCache::marginal_gain`] with the same association order as the
 /// DFS, so leaf scores, the Gumbel stream, and the argmax are all
-/// bit-identical to the recursive reference (twin-RNG tested).
-pub fn select_combination_counted<R: Rng + ?Sized>(
+/// bit-identical to the recursive oracle (twin-RNG tested).
+fn select_combination_counted<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
     weights: Weights,
@@ -144,118 +127,34 @@ pub fn select_combination_counted<R: Rng + ?Sized>(
     }
 }
 
-/// The historical recursive implementation of
-/// [`select_combination_counted`], kept as the reference the iterative
-/// enumerator is twin-RNG tested against (identical Gumbel stream, leaf
-/// count, and argmax) and as the baseline of the bench crate's Stage-2
-/// node-rate ablation.
-pub fn select_combination_counted_recursive<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-    eps_top_comb: Epsilon,
-    rng: &mut R,
-) -> Result<(AttributeCombination, u64), DpError> {
-    if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
-        return Err(DpError::EmptyCandidateSet);
-    }
-    let cache = GlScoreCache::build(st, candidates, weights);
-    let factor = eps_top_comb.get() / 2.0;
-    let n = candidates.len();
-    let mut best_choice = vec![0usize; n];
-    let mut best_val = f64::NEG_INFINITY;
-    let mut prefix: Vec<usize> = Vec::with_capacity(n);
-    let mut partial: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut leaves = 0u64;
-    partial.push(0.0);
-    dfs(
-        &cache,
-        candidates,
-        factor,
-        &mut prefix,
-        &mut partial,
-        &mut best_choice,
-        &mut best_val,
-        &mut leaves,
-        rng,
-    );
-    let sel = best_choice
-        .iter()
-        .enumerate()
-        .map(|(c, &i)| candidates[c][i])
-        .collect();
-    Ok((sel, leaves))
-}
-
-/// DFS over combination space, maintaining the running `GlScore` prefix sum;
-/// at each leaf draws the Gumbel perturbation and tracks the argmax.
-#[allow(clippy::too_many_arguments)]
-fn dfs<R: Rng + ?Sized>(
-    cache: &GlScoreCache,
-    candidates: &[Vec<usize>],
-    factor: f64,
-    prefix: &mut Vec<usize>,
-    partial: &mut Vec<f64>,
-    best_choice: &mut Vec<usize>,
-    best_val: &mut f64,
-    leaves: &mut u64,
-    rng: &mut R,
-) {
-    let c = prefix.len();
-    if c == candidates.len() {
-        let score = *partial.last().expect("partial always has the root entry");
-        let noisy = factor * score + sample_gumbel(1.0, rng);
-        *leaves += 1;
-        if noisy > *best_val {
-            *best_val = noisy;
-            best_choice.copy_from_slice(prefix);
-        }
-        return;
-    }
-    for i in 0..candidates[c].len() {
-        let gain = cache.marginal_gain(prefix, c, i);
-        prefix.push(i);
-        partial.push(partial.last().expect("non-empty") + gain);
-        dfs(
-            cache,
-            candidates,
-            factor,
-            prefix,
-            partial,
-            best_choice,
-            best_val,
-            leaves,
-            rng,
-        );
-        prefix.pop();
-        partial.pop();
-    }
-}
-
 /// Which enumeration kernel drives Stage-2 combination selection.
 ///
-/// All three realize the *same* exponential-mechanism distribution (each
-/// leaf's perturbation is one [`sample_gumbel`] draw); they differ in where
+/// Both kernels realize the *same* exponential-mechanism distribution (each
+/// leaf's perturbation is one unit-scale Gumbel draw); they differ in where
 /// the noise comes from and therefore in what the enumerator is allowed to
 /// do with the leaf space:
 ///
-/// * [`SequentialRng`](Stage2Kernel::SequentialRng) — the streaming
-///   reference: every leaf consumes the caller's RNG in leaf order, so the
-///   sweep is pinned to one core and must visit every leaf. This is the
-///   historical behavior and stays the default; all seeded-reproducibility
-///   guarantees of existing runs are unchanged.
+/// * [`SequentialRng`](Stage2Kernel::SequentialRng) — the streaming kernel:
+///   every leaf consumes the caller's RNG in leaf order, so the sweep is
+///   pinned to one core and must visit every leaf. This is the historical
+///   behavior and stays the default; all seeded-reproducibility guarantees
+///   of existing runs are unchanged.
 /// * [`CounterSerial`](Stage2Kernel::CounterSerial) — noise at leaf `i` is
 ///   the counter-based [`gumbel_at`]`(seed, i)`, a pure function, with one
 ///   fresh `seed` drawn from the caller's RNG per selection. Independence
 ///   across leaves lets the sweep prune: whole slices — and, at carry time,
 ///   whole subtrees — whose best possible score plus [`GUMBEL_UNIT_MAX`]
 ///   cannot beat the running best are skipped without computing their draws,
-///   exact, not approximate (see [`select_combination_counter`]).
+///   exact, not approximate.
 /// * [`CounterParallel`](Stage2Kernel::CounterParallel) — the same
 ///   counter-based sweep, range-partitioned over `threads` workers via
 ///   mixed-radix odometer seeking; deterministically merged, bit-identical
 ///   to `CounterSerial` for every thread count. `0` means "auto" (machine
 ///   parallelism).
+///
+/// Neither kernel dominates: the pruned counter sweep wins by a wide margin
+/// at large ε, where the bound skips most of the space, and can lose to the
+/// streaming kernel at small ε, where it prunes little.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stage2Kernel {
     /// Streaming Gumbel draws from the caller's sequential RNG (default).
@@ -271,7 +170,8 @@ pub enum Stage2Kernel {
 impl Stage2Kernel {
     /// Parses a CLI/bench selector: `seq` (or `sequential-rng`), `counter`
     /// (or `counter-serial`), `counter-par[/N]` (or `counter-parallel[/N]`;
-    /// bare form auto-detects the thread count).
+    /// the bare form and `/auto` auto-detect the thread count). Every
+    /// [`label`](Self::label) parses back to the kernel it names.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (name, threads) = match s.split_once('/') {
             Some((n, t)) => (n, Some(t)),
@@ -280,7 +180,9 @@ impl Stage2Kernel {
         match (name, threads) {
             ("seq" | "sequential" | "sequential-rng", None) => Ok(Stage2Kernel::SequentialRng),
             ("counter" | "counter-serial", None) => Ok(Stage2Kernel::CounterSerial),
-            ("counter-par" | "counter-parallel", None) => Ok(Stage2Kernel::CounterParallel(0)),
+            ("counter-par" | "counter-parallel", None | Some("auto")) => {
+                Ok(Stage2Kernel::CounterParallel(0))
+            }
             ("counter-par" | "counter-parallel", Some(t)) => t
                 .parse::<usize>()
                 .ok()
@@ -293,7 +195,8 @@ impl Stage2Kernel {
         }
     }
 
-    /// Stable display/JSON label for this kernel.
+    /// Stable display/JSON label for this kernel; [`parse`](Self::parse)
+    /// accepts it back.
     pub fn label(&self) -> String {
         match self {
             Stage2Kernel::SequentialRng => "sequential-rng".into(),
@@ -304,13 +207,20 @@ impl Stage2Kernel {
     }
 }
 
-/// [`select_combination_counted`] dispatched through a [`Stage2Kernel`].
+/// Selects the noisy-best attribute combination from the candidate sets with
+/// the exponential mechanism at `eps_top_comb` (Algorithm 2, line 5), on the
+/// given [`Stage2Kernel`].
+///
+/// Returns the chosen attribute index per cluster and the number of
+/// combination leaves in the enumerated space — the full `k^|C|` product,
+/// which the engine observer reports and tests use to prove no combination
+/// is silently skipped.
 ///
 /// `SequentialRng` consumes one RNG draw per leaf; the counter kernels
 /// consume exactly **one** `u64` (the PRF seed) regardless of leaf count, so
 /// `CounterSerial` and `CounterParallel` are stream-compatible with each
 /// other (and trivially with themselves across thread counts).
-pub fn select_combination_with_kernel<R: Rng + ?Sized>(
+pub fn select_combination<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
     weights: Weights,
@@ -573,8 +483,8 @@ fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeB
 /// tie goes to the earlier leaf — the serial sweep's tie-breaking — so the
 /// selected combination is **bit-identical for every thread count**
 /// (property-tested). Returns the selection and the size of the enumerated
-/// space, as [`select_combination_counted`] does.
-pub fn select_combination_counter<R: Rng + ?Sized>(
+/// space, as the streaming kernel does.
+fn select_combination_counter<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
     weights: Weights,
@@ -694,41 +604,16 @@ pub fn select_combination_exact(
 /// With `consistency` set, applies the Hay-et-al. partition-consistency
 /// projection (free post-processing) whenever a single attribute explains
 /// every cluster.
+///
+/// Releases fan out over up to `threads` workers. Noise draws are split from
+/// `rng` up front (one seed per full-data histogram in distinct-attribute
+/// order, then one per cluster histogram in cluster order), each noisy
+/// release runs on its own `StdRng`, and the accountant is charged after the
+/// map in the same deterministic order as a sequential loop — so the
+/// released histograms and the audit trail are **bit-identical for every
+/// `threads` value**.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's parameter list
 pub fn generate_histograms<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
-    schema: &Schema,
-    counts: &ClusteredCounts,
-    assignment: &AttributeCombination,
-    eps_hist: Epsilon,
-    mechanism: &M,
-    consistency: bool,
-    accountant: &mut Accountant,
-    rng: &mut R,
-) -> Result<GlobalExplanation, DpError> {
-    generate_histograms_with(
-        schema,
-        counts,
-        assignment,
-        eps_hist,
-        mechanism,
-        consistency,
-        accountant,
-        1,
-        rng,
-    )
-}
-
-/// [`generate_histograms`] with explicit worker-thread count — the engine's
-/// release stage.
-///
-/// Noise draws are split from `rng` up front (one seed per full-data
-/// histogram in distinct-attribute order, then one per cluster histogram in
-/// cluster order), each noisy release runs on its own `StdRng`, and the
-/// accountant is charged after the map in the same deterministic order as the
-/// sequential loop — so the released histograms and the audit trail are
-/// **bit-identical for every `threads` value**.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's parameter list
-pub fn generate_histograms_with<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     schema: &Schema,
     counts: &ClusteredCounts,
     assignment: &AttributeCombination,
@@ -863,6 +748,93 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The historical recursive implementation of
+    /// [`select_combination_counted`]: the oracle the iterative enumerator is
+    /// twin-RNG tested against (identical Gumbel stream, leaf count, and
+    /// argmax).
+    fn select_combination_counted_recursive<R: Rng + ?Sized>(
+        st: &ScoreTable,
+        candidates: &[Vec<usize>],
+        weights: Weights,
+        eps_top_comb: Epsilon,
+        rng: &mut R,
+    ) -> Result<(AttributeCombination, u64), DpError> {
+        if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
+            return Err(DpError::EmptyCandidateSet);
+        }
+        let cache = GlScoreCache::build(st, candidates, weights);
+        let factor = eps_top_comb.get() / 2.0;
+        let n = candidates.len();
+        let mut best_choice = vec![0usize; n];
+        let mut best_val = f64::NEG_INFINITY;
+        let mut prefix: Vec<usize> = Vec::with_capacity(n);
+        let mut partial: Vec<f64> = Vec::with_capacity(n + 1);
+        let mut leaves = 0u64;
+        partial.push(0.0);
+        dfs(
+            &cache,
+            candidates,
+            factor,
+            &mut prefix,
+            &mut partial,
+            &mut best_choice,
+            &mut best_val,
+            &mut leaves,
+            rng,
+        );
+        let sel = best_choice
+            .iter()
+            .enumerate()
+            .map(|(c, &i)| candidates[c][i])
+            .collect();
+        Ok((sel, leaves))
+    }
+
+    /// DFS over combination space, maintaining the running `GlScore` prefix sum;
+    /// at each leaf draws the Gumbel perturbation and tracks the argmax.
+    #[allow(clippy::too_many_arguments)]
+    fn dfs<R: Rng + ?Sized>(
+        cache: &GlScoreCache,
+        candidates: &[Vec<usize>],
+        factor: f64,
+        prefix: &mut Vec<usize>,
+        partial: &mut Vec<f64>,
+        best_choice: &mut Vec<usize>,
+        best_val: &mut f64,
+        leaves: &mut u64,
+        rng: &mut R,
+    ) {
+        let c = prefix.len();
+        if c == candidates.len() {
+            let score = *partial.last().expect("partial always has the root entry");
+            let noisy = factor * score + sample_gumbel(1.0, rng);
+            *leaves += 1;
+            if noisy > *best_val {
+                *best_val = noisy;
+                best_choice.copy_from_slice(prefix);
+            }
+            return;
+        }
+        for i in 0..candidates[c].len() {
+            let gain = cache.marginal_gain(prefix, c, i);
+            prefix.push(i);
+            partial.push(partial.last().expect("non-empty") + gain);
+            dfs(
+                cache,
+                candidates,
+                factor,
+                prefix,
+                partial,
+                best_choice,
+                best_val,
+                leaves,
+                rng,
+            );
+            prefix.pop();
+            partial.pop();
+        }
+    }
+
     fn table() -> ScoreTable {
         // Unequal cluster sizes (100 / 200); attributes 0 and 1 carry signal,
         // attribute 2 is flat. NOTE: with exactly two clusters, swapping the
@@ -906,8 +878,8 @@ mod tests {
         let w = Weights::equal();
         let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
         let mut r = StdRng::seed_from_u64(5);
-        let sel = select_combination(&st, &candidates, w, Epsilon::new(10_000.0).unwrap(), &mut r)
-            .unwrap();
+        let eps = Epsilon::new(10_000.0).unwrap();
+        let (sel, _) = select_combination_counted(&st, &candidates, w, eps, &mut r).unwrap();
         // Tied optima (see table()) make combination identity fragile; the
         // achieved score must match the exact optimum.
         let exact = select_combination_exact(&st, &candidates, w);
@@ -952,8 +924,9 @@ mod tests {
         }
         assert_eq!(strictly_better, 1, "argmax should be unique here");
         let mut r = StdRng::seed_from_u64(11);
-        let sel =
-            select_combination(&st, &candidates, w, Epsilon::new(1e5).unwrap(), &mut r).unwrap();
+        let (sel, _) =
+            select_combination_counted(&st, &candidates, w, Epsilon::new(1e5).unwrap(), &mut r)
+                .unwrap();
         assert_eq!(sel, best);
     }
 
@@ -981,7 +954,7 @@ mod tests {
         let mut hits = [0usize; 4];
         let mut r = StdRng::seed_from_u64(6);
         for _ in 0..n {
-            let sel = select_combination(&st, &candidates, w, eps, &mut r).unwrap();
+            let (sel, _) = select_combination_counted(&st, &candidates, w, eps, &mut r).unwrap();
             let idx = sel[0] * 2 + sel[1];
             hits[idx] += 1;
         }
@@ -1133,7 +1106,7 @@ mod tests {
     fn empty_candidate_sets_rejected() {
         let st = table();
         let mut r = StdRng::seed_from_u64(7);
-        assert!(select_combination(
+        assert!(select_combination_counted(
             &st,
             &[vec![0], vec![]],
             Weights::equal(),
@@ -1316,8 +1289,7 @@ mod tests {
             let mut r = StdRng::seed_from_u64(6);
             for _ in 0..n {
                 let (sel, _) =
-                    select_combination_with_kernel(&st, &candidates, w, eps, kernel, &mut r)
-                        .unwrap();
+                    select_combination(&st, &candidates, w, eps, kernel, &mut r).unwrap();
                 hits[sel[0] * 2 + sel[1]] += 1;
             }
             for (idx, &h) in hits.iter().enumerate() {
@@ -1391,7 +1363,7 @@ mod tests {
         let eps = Epsilon::new(0.7).unwrap();
         let mut a = StdRng::seed_from_u64(55);
         let mut b = StdRng::seed_from_u64(55);
-        let via_kernel = select_combination_with_kernel(
+        let via_kernel = select_combination(
             &st,
             &candidates,
             w,
@@ -1444,6 +1416,18 @@ mod tests {
             Stage2Kernel::CounterParallel(0).label(),
             "counter-parallel/auto"
         );
+        assert_eq!(
+            Stage2Kernel::parse("counter-par/auto").unwrap(),
+            Stage2Kernel::CounterParallel(0)
+        );
+        for kernel in [
+            Stage2Kernel::SequentialRng,
+            Stage2Kernel::CounterSerial,
+            Stage2Kernel::CounterParallel(0),
+            Stage2Kernel::CounterParallel(4),
+        ] {
+            assert_eq!(Stage2Kernel::parse(&kernel.label()), Ok(kernel));
+        }
     }
 
     fn small_dataset() -> (Dataset, Vec<usize>) {
@@ -1469,7 +1453,7 @@ mod tests {
     #[test]
     fn histogram_stage_spends_exactly_eps_hist() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(8);
         let eps = Epsilon::new(0.4).unwrap();
@@ -1481,6 +1465,7 @@ mod tests {
             &GeometricHistogram,
             false,
             &mut acc,
+            1,
             &mut r,
         )
         .unwrap();
@@ -1496,7 +1481,7 @@ mod tests {
     #[test]
     fn histogram_stage_repeated_attribute_shares_full_histogram() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(9);
         let eps = Epsilon::new(0.4).unwrap();
@@ -1508,6 +1493,7 @@ mod tests {
             &GeometricHistogram,
             false,
             &mut acc,
+            1,
             &mut r,
         )
         .unwrap();
@@ -1519,12 +1505,12 @@ mod tests {
     #[test]
     fn parallel_histogram_release_is_bit_identical_to_sequential() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let eps = Epsilon::new(0.4).unwrap();
         let release = |threads: usize, seed: u64| {
             let mut acc = Accountant::new();
             let mut r = StdRng::seed_from_u64(seed);
-            let expl = generate_histograms_with(
+            let expl = generate_histograms(
                 data.schema(),
                 &counts,
                 &vec![0, 1],
@@ -1555,7 +1541,7 @@ mod tests {
     #[test]
     fn noisy_histograms_are_near_exact_at_high_epsilon() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(10);
         let noisy = generate_histograms(
@@ -1566,6 +1552,7 @@ mod tests {
             &GeometricHistogram,
             false,
             &mut acc,
+            1,
             &mut r,
         )
         .unwrap();
@@ -1583,7 +1570,7 @@ mod tests {
     #[test]
     fn consistency_projection_makes_cluster_sums_match_full() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let mut acc = Accountant::new();
         let mut r = StdRng::seed_from_u64(12);
         // Both clusters explained by the same attribute → projection applies.
@@ -1595,6 +1582,7 @@ mod tests {
             &GeometricHistogram,
             true,
             &mut acc,
+            1,
             &mut r,
         )
         .unwrap();
@@ -1630,7 +1618,7 @@ mod tests {
     #[test]
     fn consistency_reduces_error_on_shared_attribute() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let exact = exact_histograms(data.schema(), &counts, &vec![0, 0]);
         let error_of = |consistency: bool, seed: u64| -> f64 {
             let mut acc = Accountant::new();
@@ -1643,6 +1631,7 @@ mod tests {
                 &GeometricHistogram,
                 consistency,
                 &mut acc,
+                1,
                 &mut r,
             )
             .unwrap();
@@ -1670,7 +1659,7 @@ mod tests {
     #[test]
     fn exact_histograms_match_contingency() {
         let (data, labels) = small_dataset();
-        let counts = ClusteredCounts::build(&data, &labels, 2);
+        let counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let expl = exact_histograms(data.schema(), &counts, &vec![0, 0]);
         // Cluster 0 is all x=0 (150 tuples), rest all x=1.
         assert_eq!(expl.per_cluster[0].hist_cluster, vec![150.0, 0.0]);

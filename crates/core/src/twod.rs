@@ -94,7 +94,8 @@ pub fn explain_pairs<M: HistogramMechanism + Sync, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<PairOutcome, PairError> {
     let (product_data, products) = product_dataset(data, pairs).map_err(PairError::Data)?;
-    let counts = dpx_data::contingency::ClusteredCounts::build(&product_data, labels, n_clusters);
+    let counts =
+        dpx_data::contingency::ClusteredCounts::build(&product_data, labels, n_clusters, 1);
     let outcome = DpClustX::new(config)
         .explain_from_counts(&product_data, &counts, mechanism, rng)
         .map_err(PairError::Dp)?;

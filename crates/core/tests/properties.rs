@@ -51,7 +51,7 @@ fn world() -> impl Strategy<Value = World> {
             let labels: Vec<usize> = rows.iter().map(|(_, c)| *c).collect();
             let data = Dataset::from_rows(schema.clone(), &tuples).unwrap();
             let st = ScoreTable::from_clustered_counts(&ClusteredCounts::build(
-                &data, &labels, n_clusters,
+                &data, &labels, n_clusters, 1,
             ));
             let mut tuples2 = tuples;
             let mut labels2 = labels;
@@ -59,7 +59,7 @@ fn world() -> impl Strategy<Value = World> {
             labels2.push(extra.1);
             let data2 = Dataset::from_rows(schema, &tuples2).unwrap();
             let st_neighbor = ScoreTable::from_clustered_counts(&ClusteredCounts::build(
-                &data2, &labels2, n_clusters,
+                &data2, &labels2, n_clusters, 1,
             ));
             World {
                 n_clusters,
@@ -183,7 +183,7 @@ proptest! {
         let labels: Vec<usize> = rows.iter().map(|(_, c)| *c).collect();
         let data = Dataset::from_rows(schema, &tuples).unwrap();
         let st = ScoreTable::from_clustered_counts(
-            &ClusteredCounts::build(&data, &labels, n_clusters));
+            &ClusteredCounts::build(&data, &labels, n_clusters, 1));
 
         // Explain both clusters with attribute 0.
         let attr = 0usize;

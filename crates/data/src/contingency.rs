@@ -17,46 +17,44 @@
 //! the per-cluster sizes, and the grand total are derived once at build time
 //! (they are exact column/row sums of the flat table) and stored.
 //!
-//! ## Two kernels, one result
+//! ## One kernel
 //!
-//! [`ClusteredCounts::build`] is the **frozen serial reference**: labels
-//! narrowed to `u32` once, four attributes counted per row pass into `u32`
-//! sub-tables, widened to `u64` at the end. It is deliberately simple — the
-//! bit-identity oracle every other path is tested against, and the `serial`
-//! row of the counts ablation.
-//!
-//! [`ClusteredCounts::build_parallel`] is the **optimized kernel**, built
-//! from what the counts ablation actually measured on this workload
-//! (counting is memory-bound; the tables are L1-resident, so wins come from
-//! fewer increments per row and less streamed traffic, not cache blocking):
+//! [`ClusteredCounts::build`] is the only production path, built from what
+//! the counts ablation actually measured on this workload (counting is
+//! memory-bound; the tables are L1-resident, so wins come from fewer
+//! increments per row and less streamed traffic, not cache blocking):
 //!
 //! * **Label narrowing once per build** — labels are narrowed to the
 //!   smallest width `n_clusters` fits in (`u8`/`u16`/`u32`) in a single
-//!   upfront pass shared by every chunk, replacing the old per-chunk
-//!   `Vec<u32>` copy; the kernel is monomorphized per width.
+//!   upfront pass shared by every chunk; the kernel is monomorphized per
+//!   width.
 //! * **Pair-fused joint counting** — where `n_clusters · |dom(A_i)| ·
 //!   |dom(A_j)|` stays under [`JOINT_FUSION_MAX_CELLS`], adjacent attribute
 //!   pairs are counted into a small *joint* table with one increment per
 //!   pair (`joint[base[c] + v_i · |dom(A_j)| + v_j] += 1`, a branch-free
 //!   indexed add off a per-cluster base lookup), then marginalized exactly
 //!   into both per-attribute sub-tables. Two fused pairs share each row
-//!   pass, halving table increments per row versus the reference kernel.
-//!   Attributes whose joint table would blow the threshold fall back to
-//!   single-attribute counting — still through the per-cluster base lookup,
-//!   which keeps the hot sub-table's base address out of the dependent
-//!   multiply chain.
+//!   pass, halving table increments per row versus one increment per
+//!   attribute. Attributes whose joint table would blow the threshold fall
+//!   back to single-attribute counting — still through the per-cluster base
+//!   lookup, which keeps the hot sub-table's base address out of the
+//!   dependent multiply chain.
 //! * **Worker-claimed chunks with per-thread table reuse** — rows are split
 //!   into fixed [`PARALLEL_CHUNK_ROWS`]-row chunks claimed off an atomic
-//!   counter ([`dpx_runtime::chunk_worker_reduce`]); each worker folds every
-//!   chunk it claims into one reusable accumulator (flat table + joint
-//!   scratch), so table allocation is paid per worker, not per chunk, and
-//!   the surviving worker tables merge through a pairwise tree
-//!   ([`dpx_runtime::pairwise_merge`]).
+//!   counter ([`dpx_runtime::chunk_worker_reduce`], which never starts more
+//!   workers than there are chunks); each worker folds every chunk it claims
+//!   into one reusable accumulator (flat table + joint scratch), so table
+//!   allocation is paid per worker, not per chunk, and the surviving worker
+//!   tables merge through a pairwise tree ([`dpx_runtime::pairwise_merge`]).
+//!
+//! The frozen serial reference (four attributes per row pass, no fusion, no
+//! chunking) and a per-attribute table build survive only in this module's
+//! tests, as the oracles the kernel is checked against.
 //!
 //! All counting is exact integer addition — associative and commutative —
-//! so every path (reference, optimized serial, any thread count, any chunk
-//! assignment) produces **bit-identical** tables; asserted by unit tests
-//! here and property tests in `tests/properties.rs`.
+//! so every thread count and every chunk assignment produces
+//! **bit-identical** tables; asserted against the oracles by the unit and
+//! property tests below.
 //!
 //! ## Incremental updates
 //!
@@ -77,17 +75,6 @@ use crate::histogram::Histogram;
 use dpx_runtime::chunk_worker_reduce;
 use std::ops::Range;
 
-/// Minimum rows each worker must receive before [`ClusteredCounts::build_parallel`]
-/// spends a thread on it.
-///
-/// The counting kernel is memory-bound and each extra worker costs a thread
-/// spawn, an accumulator table, and a merge. The committed counts ablation
-/// (`results/BENCH_fig9.json`, regenerated for the worker-claimed kernel)
-/// keeps showing the same crossover region: below ~100 k rows per worker the
-/// setup and merge outweigh the scan they split. 100 k rows per worker keeps
-/// every spawned worker on the winning side.
-pub const PARALLEL_MIN_ROWS_PER_THREAD: usize = 100_000;
-
 /// Fixed chunk granule (rows) for the worker-claimed parallel build.
 ///
 /// Chunk size is decoupled from the thread count: workers claim
@@ -106,21 +93,6 @@ pub const PARALLEL_CHUNK_ROWS: usize = 65_536;
 /// 64 Ki cells (256 KiB of `u32`) is comfortably inside L2 and two orders
 /// of magnitude below the per-chunk row work.
 pub const JOINT_FUSION_MAX_CELLS: usize = 1 << 16;
-
-/// The worker count [`ClusteredCounts::build_parallel`] actually uses for a
-/// requested `threads` on `n_rows` rows: capped so every worker gets at least
-/// [`PARALLEL_MIN_ROWS_PER_THREAD`] rows, and never below 1.
-///
-/// This is the pure data-size policy; `build_parallel` additionally clamps
-/// the result to the machine's available parallelism (over-subscribing a
-/// bandwidth-bound kernel only adds context-switch thrash, and the result is
-/// bit-identical at every worker count, so the clamp is unobservable in the
-/// output).
-#[inline]
-pub fn effective_build_threads(n_rows: usize, threads: usize) -> usize {
-    let cap = (n_rows / PARALLEL_MIN_ROWS_PER_THREAD).max(1);
-    threads.max(1).min(cap)
-}
 
 /// Validates a cluster labeling in one upfront pass: one label per row, every
 /// label `< n_clusters`.
@@ -155,22 +127,6 @@ pub struct ContingencyTable {
 }
 
 impl ContingencyTable {
-    /// Builds the table for attribute `attr` of `data` under the given
-    /// cluster `labels` (one label `< n_clusters` per row).
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != data.n_rows()` or a label is out of range
-    /// (validated in one upfront pass, not per counted row).
-    pub fn build(data: &Dataset, attr: usize, labels: &[usize], n_clusters: usize) -> Self {
-        validate_labels(labels, data.n_rows(), n_clusters);
-        let dom = data.schema().attribute(attr).domain.size();
-        let mut flat = vec![0u64; n_clusters * dom];
-        for (&v, &c) in data.column(attr).iter().zip(labels) {
-            flat[c * dom + v as usize] += 1;
-        }
-        Self::from_flat(flat, n_clusters, dom)
-    }
-
     /// Finalizes a flat cluster-major count table: derives the marginal, the
     /// cluster sizes, and the total (exact `u64` sums, so the derived fields
     /// are identical however the flat table was accumulated).
@@ -548,9 +504,8 @@ fn count_span<L: LabelCode>(
 }
 
 /// Contingency tables for every attribute of a dataset — the shared input to
-/// Stage-1, Stage-2, and all baselines. Built by the frozen serial reference
-/// ([`Self::build`]) or the optimized worker-claimed kernel
-/// ([`Self::build_parallel`]), with bit-identical results; updated in place
+/// Stage-1, Stage-2, and all baselines. Built by the worker-claimed kernel
+/// ([`Self::build`]), bit-identical at every thread count; updated in place
 /// by [`Self::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusteredCounts {
@@ -561,8 +516,8 @@ pub struct ClusteredCounts {
     cluster_sizes: Vec<u64>,
 }
 
-/// Per-attribute domain sizes and flat sub-table offsets, shared by both
-/// kernels.
+/// Per-attribute domain sizes and flat sub-table offsets, shared by the
+/// kernel and the test oracle.
 fn table_layout(data: &Dataset, n_clusters: usize) -> (Vec<usize>, Vec<usize>, usize) {
     let arity = data.schema().arity();
     let doms: Vec<usize> = (0..arity)
@@ -579,111 +534,23 @@ fn table_layout(data: &Dataset, n_clusters: usize) -> (Vec<usize>, Vec<usize>, u
 }
 
 impl ClusteredCounts {
-    /// Builds tables for all attributes with the **frozen serial reference
-    /// kernel**: one single-threaded scan, labels narrowed to `u32` once,
-    /// four attributes per row pass into `u32` sub-tables.
+    /// Builds tables for all attributes: labels narrowed once to the
+    /// smallest width that fits `n_clusters`, adjacent attribute pairs fused
+    /// into joint tables where they stay under [`JOINT_FUSION_MAX_CELLS`],
+    /// rows claimed in [`PARALLEL_CHUNK_ROWS`] chunks by `threads` workers
+    /// that each reuse one accumulator, worker tables merged through a
+    /// pairwise tree.
     ///
-    /// This kernel is deliberately independent of the optimized path — it is
-    /// the bit-identity oracle the parallel/fused/incremental kernels are
-    /// tested against, and the `serial` row of the counts ablation.
-    pub fn build(data: &Dataset, labels: &[usize], n_clusters: usize) -> Self {
-        validate_labels(labels, data.n_rows(), n_clusters);
-        let (doms, offsets, flat_len) = table_layout(data, n_clusters);
-        assert!(
-            data.n_rows() < u32::MAX as usize,
-            "dataset too large for u32 count chunks"
-        );
-        let arity = doms.len();
-        let mut flat = vec![0u32; flat_len];
-        let lab: Vec<u32> = labels.iter().map(|&c| c as u32).collect();
-        let mut rest: &mut [u32] = &mut flat;
-        let mut a = 0;
-        while a + 4 <= arity {
-            let (d0, d1, d2, d3) = (doms[a], doms[a + 1], doms[a + 2], doms[a + 3]);
-            let taken = rest;
-            let (s0, tail) = taken.split_at_mut(n_clusters * d0);
-            let (s1, tail) = tail.split_at_mut(n_clusters * d1);
-            let (s2, tail) = tail.split_at_mut(n_clusters * d2);
-            let (s3, tail) = tail.split_at_mut(n_clusters * d3);
-            rest = tail;
-            let c0 = data.column(a);
-            let c1 = data.column(a + 1);
-            let c2 = data.column(a + 2);
-            let c3 = data.column(a + 3);
-            for ((((&c, &v0), &v1), &v2), &v3) in lab.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
-                let c = c as usize;
-                s0[c * d0 + v0 as usize] += 1;
-                s1[c * d1 + v1 as usize] += 1;
-                s2[c * d2 + v2 as usize] += 1;
-                s3[c * d3 + v3 as usize] += 1;
-            }
-            a += 4;
-        }
-        while a < arity {
-            let dom = doms[a];
-            let taken = rest;
-            let (sub, tail) = taken.split_at_mut(n_clusters * dom);
-            rest = tail;
-            for (&v, &c) in data.column(a).iter().zip(&lab) {
-                sub[c as usize * dom + v as usize] += 1;
-            }
-            a += 1;
-        }
-        Self::assemble(flat, &doms, &offsets, n_clusters, data.n_rows())
-    }
-
-    /// Builds tables for all attributes with the optimized worker-claimed
-    /// kernel: labels narrowed once to the smallest width that fits
-    /// `n_clusters`, adjacent attribute pairs fused into joint tables where
-    /// they stay under [`JOINT_FUSION_MAX_CELLS`], rows claimed in
-    /// [`PARALLEL_CHUNK_ROWS`] chunks by up to `threads` workers that each
-    /// reuse one accumulator, worker tables merged through a pairwise tree.
-    ///
-    /// The output is **bit-identical** to [`Self::build`] for every
-    /// `threads` value and every chunk assignment (all counting is exact,
-    /// commutative integer addition); `threads = 1` runs the same kernel on
-    /// the calling thread.
-    ///
-    /// `threads` is treated as an upper bound twice over: it falls back
-    /// toward serial when workers would drop below
-    /// [`PARALLEL_MIN_ROWS_PER_THREAD`] rows ([`effective_build_threads`] —
-    /// below the crossover measured in the counts ablation, spawn and merge
-    /// cost more than the scan they split), and it is clamped to the
-    /// machine's available parallelism (over-subscribing a memory-bound
-    /// kernel is pure thrash). Use [`Self::build_parallel_forced`] to bypass
-    /// both (the ablation does, so it keeps measuring the raw kernel at
-    /// every worker count).
+    /// `threads` is taken literally, except that no more workers start than
+    /// there are chunks (so below one chunk the build runs on the calling
+    /// thread). The output is **bit-identical** for every `threads` value and
+    /// every chunk assignment: all counting is exact, commutative integer
+    /// addition.
     ///
     /// # Panics
     /// Panics if `labels.len() != data.n_rows()` or a label is out of range
-    /// (one upfront validation pass shared with the serial build).
-    pub fn build_parallel(
-        data: &Dataset,
-        labels: &[usize],
-        n_clusters: usize,
-        threads: usize,
-    ) -> Self {
-        let hardware = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let threads = effective_build_threads(data.n_rows(), threads).min(hardware.max(1));
-        Self::build_parallel_forced(data, labels, n_clusters, threads)
-    }
-
-    /// The optimized kernel with the worker count taken literally — no
-    /// small-input fallback, no hardware clamp. Exists for the `counts`
-    /// ablation, which measures the raw kernel on both sides of the
-    /// serial/parallel crossover; production callers want
-    /// [`Self::build_parallel`].
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != data.n_rows()` or a label is out of range.
-    pub fn build_parallel_forced(
-        data: &Dataset,
-        labels: &[usize],
-        n_clusters: usize,
-        threads: usize,
-    ) -> Self {
+    /// (validated in one upfront pass, not per counted row).
+    pub fn build(data: &Dataset, labels: &[usize], n_clusters: usize, threads: usize) -> Self {
         validate_labels(labels, data.n_rows(), n_clusters);
         let (doms, offsets, flat_len) = table_layout(data, n_clusters);
         // Worker counters are u32: no single count can exceed the row count,
@@ -746,8 +613,8 @@ impl ClusteredCounts {
 
     /// Widens a merged flat all-attribute `u32` buffer to `u64` and splits it
     /// into per-attribute tables (back to front so each split is a cheap
-    /// truncation). Shared by both kernels, so the final table derivation is
-    /// identical by construction.
+    /// truncation). Shared with the test oracle, so the final table
+    /// derivation is identical by construction.
     fn assemble(
         merged: Vec<u32>,
         doms: &[usize],
@@ -875,8 +742,86 @@ impl ClusteredCounts {
 mod tests {
     use super::*;
     use crate::schema::{Attribute, Domain, Schema};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Per-attribute oracle: one direct `u64` increment per row.
+    fn oracle_table(
+        data: &Dataset,
+        attr: usize,
+        labels: &[usize],
+        n_clusters: usize,
+    ) -> ContingencyTable {
+        validate_labels(labels, data.n_rows(), n_clusters);
+        let dom = data.schema().attribute(attr).domain.size();
+        let mut flat = vec![0u64; n_clusters * dom];
+        for (&v, &c) in data.column(attr).iter().zip(labels) {
+            flat[c * dom + v as usize] += 1;
+        }
+        ContingencyTable::from_flat(flat, n_clusters, dom)
+    }
+
+    /// The frozen serial reference: one single-threaded scan, labels
+    /// narrowed to `u32` once, four attributes per row pass into `u32`
+    /// sub-tables — no fusion, no chunking, no narrow label widths.
+    fn oracle_counts(data: &Dataset, labels: &[usize], n_clusters: usize) -> ClusteredCounts {
+        validate_labels(labels, data.n_rows(), n_clusters);
+        let (doms, offsets, flat_len) = table_layout(data, n_clusters);
+        let arity = doms.len();
+        let mut flat = vec![0u32; flat_len];
+        let lab: Vec<u32> = labels.iter().map(|&c| c as u32).collect();
+        let mut rest: &mut [u32] = &mut flat;
+        let mut a = 0;
+        while a + 4 <= arity {
+            let (d0, d1, d2, d3) = (doms[a], doms[a + 1], doms[a + 2], doms[a + 3]);
+            let taken = rest;
+            let (s0, tail) = taken.split_at_mut(n_clusters * d0);
+            let (s1, tail) = tail.split_at_mut(n_clusters * d1);
+            let (s2, tail) = tail.split_at_mut(n_clusters * d2);
+            let (s3, tail) = tail.split_at_mut(n_clusters * d3);
+            rest = tail;
+            let c0 = data.column(a);
+            let c1 = data.column(a + 1);
+            let c2 = data.column(a + 2);
+            let c3 = data.column(a + 3);
+            for ((((&c, &v0), &v1), &v2), &v3) in lab.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
+                let c = c as usize;
+                s0[c * d0 + v0 as usize] += 1;
+                s1[c * d1 + v1 as usize] += 1;
+                s2[c * d2 + v2 as usize] += 1;
+                s3[c * d3 + v3 as usize] += 1;
+            }
+            a += 4;
+        }
+        while a < arity {
+            let dom = doms[a];
+            let taken = rest;
+            let (sub, tail) = taken.split_at_mut(n_clusters * dom);
+            rest = tail;
+            for (&v, &c) in data.column(a).iter().zip(&lab) {
+                sub[c as usize * dom + v as usize] += 1;
+            }
+            a += 1;
+        }
+        ClusteredCounts::assemble(flat, &doms, &offsets, n_clusters, data.n_rows())
+    }
+
+    /// Asserts `built` equals both oracles: the frozen serial reference as a
+    /// whole, and the per-attribute oracle table by table.
+    fn assert_matches_oracles(
+        data: &Dataset,
+        labels: &[usize],
+        n_clusters: usize,
+        built: &ClusteredCounts,
+        tag: &str,
+    ) {
+        assert_counts_identical(&oracle_counts(data, labels, n_clusters), built, tag);
+        for a in 0..data.schema().arity() {
+            let oracle = oracle_table(data, a, labels, n_clusters);
+            assert_eq!(built.table(a), &oracle, "{tag}: attr {a} vs table oracle");
+        }
+    }
 
     fn dataset_and_labels() -> (Dataset, Vec<usize>) {
         let schema = Schema::new(vec![
@@ -895,10 +840,17 @@ mod tests {
         (data, vec![0, 0, 1, 1, 0])
     }
 
+    /// Attribute `attr`'s table of [`dataset_and_labels`] under `n_clusters`.
+    fn small_table(attr: usize, n_clusters: usize) -> ContingencyTable {
+        let (data, labels) = dataset_and_labels();
+        ClusteredCounts::build(&data, &labels, n_clusters, 1)
+            .table(attr)
+            .clone()
+    }
+
     #[test]
     fn counts_match_manual_tally() {
-        let (data, labels) = dataset_and_labels();
-        let t = ContingencyTable::build(&data, 0, &labels, 2);
+        let t = small_table(0, 2);
         assert_eq!(t.cluster_count(0, 0), 2);
         assert_eq!(t.cluster_count(0, 2), 1);
         assert_eq!(t.cluster_count(1, 1), 1);
@@ -911,8 +863,7 @@ mod tests {
 
     #[test]
     fn flat_layout_is_cluster_major() {
-        let (data, labels) = dataset_and_labels();
-        let t = ContingencyTable::build(&data, 0, &labels, 2);
+        let t = small_table(0, 2);
         assert_eq!(t.flat().len(), 2 * 3);
         for c in 0..2 {
             for v in 0..3u32 {
@@ -924,8 +875,7 @@ mod tests {
 
     #[test]
     fn marginal_equals_sum_of_cluster_rows() {
-        let (data, labels) = dataset_and_labels();
-        let t = ContingencyTable::build(&data, 0, &labels, 2);
+        let t = small_table(0, 2);
         for v in 0..3u32 {
             let sum: u64 = (0..2).map(|c| t.cluster_count(c, v)).sum();
             assert_eq!(sum, t.marginal_count(v));
@@ -934,8 +884,7 @@ mod tests {
 
     #[test]
     fn histograms_are_consistent() {
-        let (data, labels) = dataset_and_labels();
-        let t = ContingencyTable::build(&data, 1, &labels, 2);
+        let t = small_table(1, 2);
         let h0 = t.cluster_histogram(0);
         let hc = t.complement_histogram(0);
         let hm = t.marginal_histogram();
@@ -946,9 +895,8 @@ mod tests {
 
     #[test]
     fn empty_cluster_allowed() {
-        let (data, labels) = dataset_and_labels();
         // Declare 3 clusters; cluster 2 is empty.
-        let t = ContingencyTable::build(&data, 0, &labels, 3);
+        let t = small_table(0, 3);
         assert_eq!(t.cluster_size(2), 0);
         assert_eq!(t.cluster_histogram(2).total(), 0);
     }
@@ -957,7 +905,7 @@ mod tests {
     #[should_panic(expected = "one cluster label per tuple")]
     fn wrong_label_count_panics() {
         let (data, _) = dataset_and_labels();
-        ContingencyTable::build(&data, 0, &[0, 1], 2);
+        ClusteredCounts::build(&data, &[0, 1], 2, 1);
     }
 
     #[test]
@@ -965,14 +913,14 @@ mod tests {
     fn out_of_range_label_panics() {
         let (data, mut labels) = dataset_and_labels();
         labels[0] = 7;
-        ContingencyTable::build(&data, 0, &labels, 2);
+        ClusteredCounts::build(&data, &labels, 2, 1);
     }
 
     #[test]
     #[should_panic(expected = "one cluster label per tuple")]
     fn parallel_wrong_label_count_panics() {
         let (data, _) = dataset_and_labels();
-        ClusteredCounts::build_parallel(&data, &[0, 1], 2, 4);
+        ClusteredCounts::build(&data, &[0, 1], 2, 4);
     }
 
     #[test]
@@ -980,47 +928,18 @@ mod tests {
     fn parallel_out_of_range_label_panics() {
         let (data, mut labels) = dataset_and_labels();
         labels[3] = 9;
-        ClusteredCounts::build_parallel(&data, &labels, 2, 4);
+        ClusteredCounts::build(&data, &labels, 2, 4);
     }
 
     #[test]
     fn clustered_counts_covers_all_attributes() {
         let (data, labels) = dataset_and_labels();
-        let cc = ClusteredCounts::build(&data, &labels, 2);
+        let cc = ClusteredCounts::build(&data, &labels, 2, 1);
         assert_eq!(cc.n_attributes(), 2);
         assert_eq!(cc.n_clusters(), 2);
         assert_eq!(cc.n_rows(), 5);
         assert_eq!(cc.cluster_sizes(), &[3, 2]);
         assert_eq!(cc.table(1).marginal_count(1), 3);
-    }
-
-    #[test]
-    fn small_inputs_fall_back_toward_serial() {
-        // Below one threshold of rows: any requested width collapses to 1.
-        assert_eq!(effective_build_threads(0, 4), 1);
-        assert_eq!(effective_build_threads(5, 1), 1);
-        assert_eq!(effective_build_threads(99_999, 64), 1);
-        // The bench crossover case: 250 k rows at 4 threads would give each
-        // worker 62.5 k rows (measured slower than serial); the cap grants
-        // only the 2 workers that stay above the threshold.
-        assert_eq!(effective_build_threads(250_000, 4), 2);
-        // Enough rows per worker: the request is honored.
-        assert_eq!(effective_build_threads(500_000, 4), 4);
-        assert_eq!(effective_build_threads(1_000_000, 8), 8);
-        // The cap never *raises* a small request.
-        assert_eq!(effective_build_threads(1_000_000, 2), 2);
-    }
-
-    #[test]
-    fn fallback_and_forced_builds_agree_with_serial() {
-        let (data, labels) = dataset_and_labels();
-        let serial = ClusteredCounts::build(&data, &labels, 2);
-        // 5 rows << threshold: build_parallel(.., 8) takes the serial path.
-        let adaptive = ClusteredCounts::build_parallel(&data, &labels, 2, 8);
-        // The forced path still honors the 8 requested workers.
-        let forced = ClusteredCounts::build_parallel_forced(&data, &labels, 2, 8);
-        assert_counts_identical(&serial, &adaptive, "adaptive");
-        assert_counts_identical(&serial, &forced, "forced");
     }
 
     fn assert_counts_identical(a: &ClusteredCounts, b: &ClusteredCounts, tag: &str) {
@@ -1072,33 +991,61 @@ mod tests {
         (data, labels, n_clusters)
     }
 
-    /// Seeded-random equivalence sweep (the proptest twin lives in
-    /// `tests/properties.rs`): random shapes including empty clusters and
-    /// single-row datasets, across `threads ∈ {1, 2, 7, 64}`.
+    /// Seeded-random equivalence sweep: random shapes including empty
+    /// clusters and single-row datasets, across `threads ∈ {1, 2, 7, 64}`.
     #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
+    fn build_is_bit_identical_to_oracles() {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         for case in 0..25 {
             let (data, labels, n_clusters) = random_case(&mut rng, 6);
-            let serial = ClusteredCounts::build(&data, &labels, n_clusters);
             for threads in [1usize, 2, 7, 64] {
-                let par = ClusteredCounts::build_parallel(&data, &labels, n_clusters, threads);
-                assert_counts_identical(&serial, &par, &format!("case {case}, threads {threads}"));
-                let forced =
-                    ClusteredCounts::build_parallel_forced(&data, &labels, n_clusters, threads);
-                assert_counts_identical(
-                    &serial,
-                    &forced,
-                    &format!("case {case}, threads {threads}, forced"),
-                );
+                let built = ClusteredCounts::build(&data, &labels, n_clusters, threads);
+                let tag = format!("case {case}, threads {threads}");
+                assert_matches_oracles(&data, &labels, n_clusters, &built, &tag);
+            }
+        }
+    }
+
+    /// Row counts straddling the [`PARALLEL_CHUNK_ROWS`] granule, so builds
+    /// split into several chunks: one worker folds several chunks into one
+    /// reused accumulator, and several workers merge pairwise (odd worker
+    /// counts carry a tail). Nine clusters narrow labels to `u8`, 300 to
+    /// `u16`; five attributes plan a two-pair pass plus a single pass.
+    #[test]
+    fn chunk_boundaries_match_oracles_across_workers() {
+        const CHUNK: usize = PARALLEL_CHUNK_ROWS;
+        let doms = [3usize, 4, 2, 5, 6];
+        let schema = Schema::new(
+            doms.iter()
+                .enumerate()
+                .map(|(a, &d)| Attribute::new(format!("a{a}"), Domain::indexed(d)).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(65_536);
+        for n_rows in [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1] {
+            let columns: Vec<Vec<u32>> = doms
+                .iter()
+                .map(|&d| (0..n_rows).map(|_| rng.gen_range(0..d as u32)).collect())
+                .collect();
+            let data = Dataset::from_columns(schema.clone(), columns).unwrap();
+            for n_clusters in [9usize, 300] {
+                let labels: Vec<usize> =
+                    (0..n_rows).map(|_| rng.gen_range(0..n_clusters)).collect();
+                let oracle = oracle_counts(&data, &labels, n_clusters);
+                for threads in [1usize, 2, 3, 7] {
+                    let built = ClusteredCounts::build(&data, &labels, n_clusters, threads);
+                    let tag = format!("rows {n_rows}, clusters {n_clusters}, threads {threads}");
+                    assert_counts_identical(&oracle, &built, &tag);
+                }
             }
         }
     }
 
     /// The u16 and u32 label-narrowing paths (n_clusters above 2^8 / 2^16)
-    /// produce the same tables as the reference build.
+    /// produce the same tables as the oracles.
     #[test]
-    fn wide_label_narrowing_paths_match_serial() {
+    fn wide_label_narrowing_paths_match_oracles() {
         let schema = Schema::new(vec![
             Attribute::new("x", Domain::indexed(3)).unwrap(),
             Attribute::new("y", Domain::indexed(2)).unwrap(),
@@ -1108,9 +1055,9 @@ mod tests {
         let data = Dataset::from_rows(schema, &rows).unwrap();
         for n_clusters in [300usize, 70_000] {
             let labels: Vec<usize> = (0..12).map(|i| (i * 97) % n_clusters).collect();
-            let serial = ClusteredCounts::build(&data, &labels, n_clusters);
-            let par = ClusteredCounts::build_parallel_forced(&data, &labels, n_clusters, 3);
-            assert_counts_identical(&serial, &par, &format!("n_clusters {n_clusters}"));
+            let built = ClusteredCounts::build(&data, &labels, n_clusters, 3);
+            let tag = format!("n_clusters {n_clusters}");
+            assert_matches_oracles(&data, &labels, n_clusters, &built, &tag);
         }
     }
 
@@ -1163,10 +1110,56 @@ mod tests {
             .collect();
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels: Vec<usize> = (0..200).map(|_| rng.gen_range(0..5)).collect();
-        let serial = ClusteredCounts::build(&data, &labels, 5);
         for threads in [1usize, 4] {
-            let par = ClusteredCounts::build_parallel_forced(&data, &labels, 5, threads);
-            assert_counts_identical(&serial, &par, &format!("threads {threads}"));
+            let built = ClusteredCounts::build(&data, &labels, 5, threads);
+            let tag = format!("threads {threads}");
+            assert_matches_oracles(&data, &labels, 5, &built, &tag);
+        }
+    }
+
+    /// Strategy: a random schema (1–4 attributes, domains of size 1–6) plus
+    /// up to 60 rows.
+    fn schema_and_rows() -> impl Strategy<Value = (Schema, Vec<Vec<u32>>)> {
+        prop::collection::vec(1usize..=6, 1..=4).prop_flat_map(|domains| {
+            let schema = Schema::new(
+                domains
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| Attribute::new(format!("a{i}"), Domain::indexed(d)).unwrap())
+                    .collect(),
+            )
+            .unwrap();
+            let row_strategy: Vec<_> = domains.iter().map(|&d| 0u32..(d as u32)).collect();
+            let rows = prop::collection::vec(row_strategy, 0..60);
+            (Just(schema), rows)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn build_matches_oracles_for_any_shape(
+            (schema, rows) in schema_and_rows(),
+            label_seed in prop::collection::vec(0usize..4, 0..60),
+            n_clusters in 1usize..=4,
+        ) {
+            let data = Dataset::from_rows(schema, &rows).unwrap();
+            // Biasing through `% n_clusters` leaves high clusters empty
+            // whenever the drawn labels are small — empty clusters are part
+            // of the space.
+            let labels: Vec<usize> = (0..data.n_rows())
+                .map(|i| label_seed.get(i).copied().unwrap_or(0) % n_clusters)
+                .collect();
+            let oracle = oracle_counts(&data, &labels, n_clusters);
+            // Every input here fits in one chunk, so each thread count runs
+            // one worker over a (possibly empty) single range; the multi-chunk
+            // merge is covered by `chunk_boundaries_match_oracles_across_workers`.
+            for threads in [1usize, 2, 7, data.n_rows() + 3] {
+                let built = ClusteredCounts::build(&data, &labels, n_clusters, threads);
+                prop_assert_eq!(&built, &oracle, "threads={}", threads);
+                for a in 0..data.schema().arity() {
+                    prop_assert_eq!(built.table(a), &oracle_table(&data, a, &labels, n_clusters));
+                }
+            }
         }
     }
 
@@ -1179,10 +1172,10 @@ mod tests {
             let split = if n == 0 { 0 } else { rng.gen_range(0..=n) };
             let base = data.select_rows(&(0..split).collect::<Vec<_>>());
             let delta = data.select_rows(&(split..n).collect::<Vec<_>>());
-            let mut counts = ClusteredCounts::build(&base, &labels[..split], n_clusters);
+            let mut counts = ClusteredCounts::build(&base, &labels[..split], n_clusters, 1);
             let empty = Dataset::empty(data.schema().clone());
             counts.apply_delta(&delta, &labels[split..], &empty, &[]);
-            let one_shot = ClusteredCounts::build(&data, &labels, n_clusters);
+            let one_shot = ClusteredCounts::build(&data, &labels, n_clusters, 1);
             assert_counts_identical(&one_shot, &counts, &format!("case {case} split {split}"));
         }
     }
@@ -1192,7 +1185,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x0DD5);
         for case in 0..25 {
             let (data, labels, n_clusters) = random_case(&mut rng, 6);
-            let original = ClusteredCounts::build(&data, &labels, n_clusters);
+            let original = ClusteredCounts::build(&data, &labels, n_clusters, 1);
             let mut counts = original.clone();
             let n = data.n_rows();
             let picks: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..3u8) == 0).collect();
@@ -1208,7 +1201,7 @@ mod tests {
     #[test]
     fn apply_delta_retiring_all_rows_empties_the_counts() {
         let (data, labels) = dataset_and_labels();
-        let mut counts = ClusteredCounts::build(&data, &labels, 2);
+        let mut counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let empty = Dataset::empty(data.schema().clone());
         counts.apply_delta(&empty, &[], &data, &labels);
         assert_eq!(counts.n_rows(), 0);
@@ -1223,7 +1216,7 @@ mod tests {
     #[should_panic(expected = "retired row not present")]
     fn apply_delta_retiring_absent_row_panics() {
         let (data, labels) = dataset_and_labels();
-        let mut counts = ClusteredCounts::build(&data, &labels, 2);
+        let mut counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let empty = Dataset::empty(data.schema().clone());
         // Row [0,0] exists only in cluster 0; retiring it from cluster 1
         // must underflow loudly.
@@ -1235,7 +1228,7 @@ mod tests {
     #[should_panic(expected = "delta arity mismatch")]
     fn apply_delta_rejects_schema_shape_mismatch() {
         let (data, labels) = dataset_and_labels();
-        let mut counts = ClusteredCounts::build(&data, &labels, 2);
+        let mut counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let other = Schema::new(vec![Attribute::new("z", Domain::indexed(2)).unwrap()]).unwrap();
         let delta = Dataset::from_rows(other, &[vec![0]]).unwrap();
         let empty = Dataset::empty(data.schema().clone());
@@ -1246,7 +1239,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn apply_delta_rejects_out_of_range_delta_label() {
         let (data, labels) = dataset_and_labels();
-        let mut counts = ClusteredCounts::build(&data, &labels, 2);
+        let mut counts = ClusteredCounts::build(&data, &labels, 2, 1);
         let delta = Dataset::from_rows(data.schema().clone(), &[vec![0, 0]]).unwrap();
         let empty = Dataset::empty(data.schema().clone());
         counts.apply_delta(&delta, &[5], &empty, &[]);

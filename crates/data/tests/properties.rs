@@ -1,7 +1,7 @@
 //! Property-based tests of the data substrate.
 
 use dpx_data::binning::{bin_numeric, BinStrategy};
-use dpx_data::contingency::{ClusteredCounts, ContingencyTable};
+use dpx_data::contingency::ClusteredCounts;
 use dpx_data::csv::{read_csv, write_csv};
 use dpx_data::dataset::Dataset;
 use dpx_data::histogram::Histogram;
@@ -116,7 +116,7 @@ proptest! {
     ) {
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels: Vec<usize> = (0..data.n_rows()).map(|i| label_seed.get(i).copied().unwrap_or(0)).collect();
-        let cc = ClusteredCounts::build(&data, &labels, 3);
+        let cc = ClusteredCounts::build(&data, &labels, 3, 1);
         for a in 0..data.schema().arity() {
             let t = cc.table(a);
             for v in 0..t.domain_size() as u32 {
@@ -124,40 +124,6 @@ proptest! {
                 prop_assert_eq!(sum, t.marginal_count(v));
             }
             prop_assert_eq!(t.total() as usize, data.n_rows());
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_serial(
-        (schema, rows) in schema_and_rows(),
-        label_seed in prop::collection::vec(0usize..4, 0..60),
-        n_clusters in 1usize..=4,
-    ) {
-        let data = Dataset::from_rows(schema, &rows).unwrap();
-        // Biasing through `% n_clusters` leaves high clusters empty whenever
-        // the drawn labels are small — empty clusters are part of the space.
-        let labels: Vec<usize> = (0..data.n_rows())
-            .map(|i| label_seed.get(i).copied().unwrap_or(0) % n_clusters)
-            .collect();
-        let serial = ClusteredCounts::build(&data, &labels, n_clusters);
-        // threads > n_rows forces single-row (and empty-range) chunks. The
-        // forced variant takes the thread count literally, exercising the
-        // pairwise merge tree at every width (odd counts leave a carried
-        // tail); `build_parallel` additionally applies the sizing policy.
-        for threads in [1usize, 2, 7, data.n_rows() + 3] {
-            for parallel in [
-                ClusteredCounts::build_parallel(&data, &labels, n_clusters, threads),
-                ClusteredCounts::build_parallel_forced(&data, &labels, n_clusters, threads),
-            ] {
-                prop_assert_eq!(parallel.n_rows(), serial.n_rows());
-                prop_assert_eq!(parallel.cluster_sizes(), serial.cluster_sizes());
-                for a in 0..data.schema().arity() {
-                    prop_assert_eq!(parallel.table(a).flat(), serial.table(a).flat());
-                    prop_assert_eq!(parallel.table(a).marginal(), serial.table(a).marginal());
-                    prop_assert_eq!(parallel.table(a).total(), serial.table(a).total());
-                }
-                prop_assert_eq!(&parallel, &serial, "threads={}", threads);
-            }
         }
     }
 
@@ -172,7 +138,7 @@ proptest! {
         let labels: Vec<usize> = (0..data.n_rows())
             .map(|i| label_seed.get(i).copied().unwrap_or(0) % n_clusters)
             .collect();
-        let one_shot = ClusteredCounts::build(&data, &labels, n_clusters);
+        let one_shot = ClusteredCounts::build(&data, &labels, n_clusters, 1);
         // Split anywhere — split 0 grows an empty base, split n applies an
         // empty delta — and the incremental path must land bit-exactly on
         // the one-shot build.
@@ -180,7 +146,7 @@ proptest! {
         let base = data.select_rows(&(0..split).collect::<Vec<_>>());
         let delta = data.select_rows(&(split..data.n_rows()).collect::<Vec<_>>());
         let empty = Dataset::empty(data.schema().clone());
-        let mut counts = ClusteredCounts::build(&base, &labels[..split], n_clusters);
+        let mut counts = ClusteredCounts::build(&base, &labels[..split], n_clusters, 1);
         counts.apply_delta(&delta, &labels[split..], &empty, &[]);
         prop_assert_eq!(&counts, &one_shot);
     }
@@ -196,7 +162,7 @@ proptest! {
         let labels: Vec<usize> = (0..data.n_rows())
             .map(|i| label_seed.get(i).copied().unwrap_or(0) % n_clusters)
             .collect();
-        let before = ClusteredCounts::build(&data, &labels, n_clusters);
+        let before = ClusteredCounts::build(&data, &labels, n_clusters, 1);
         let empty = Dataset::empty(data.schema().clone());
         // Duplicate some existing rows as the delta (valid by construction).
         prop_assume!(data.n_rows() > 0 || extra_seed.is_empty());
@@ -213,7 +179,7 @@ proptest! {
         let mut drained = before.clone();
         drained.apply_delta(&empty, &[], &data, &labels);
         prop_assert_eq!(drained.n_rows(), 0);
-        prop_assert_eq!(&drained, &ClusteredCounts::build(&empty, &[], n_clusters));
+        prop_assert_eq!(&drained, &ClusteredCounts::build(&empty, &[], n_clusters, 1));
     }
 
     #[test]
@@ -222,7 +188,8 @@ proptest! {
     ) {
         let data = Dataset::from_rows(schema, &rows).unwrap();
         let labels: Vec<usize> = (0..data.n_rows()).map(|i| i % 2).collect();
-        let t = ContingencyTable::build(&data, 0, &labels, 2);
+        let cc = ClusteredCounts::build(&data, &labels, 2, 1);
+        let t = cc.table(0);
         for c in 0..2 {
             prop_assert_eq!(
                 t.cluster_histogram(c).add(&t.complement_histogram(c)),

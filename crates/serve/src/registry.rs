@@ -520,7 +520,7 @@ mod tests {
         let (cluster_by, n_clusters) = (0usize, 3usize);
         // Simulate a served explain: counts cached under the entry key.
         let labels = derive_labels(&data, cluster_by, n_clusters);
-        let counts = ClusteredCounts::build(&data, &labels, n_clusters);
+        let counts = ClusteredCounts::build(&data, &labels, n_clusters, 1);
         let table = ScoreTable::from_clustered_counts(&counts);
         entry.cache().insert(
             CountsKey {
@@ -548,7 +548,7 @@ mod tests {
                 labels_hash: hash_labels(&new_labels, n_clusters),
             })
             .expect("refreshed entry present under the chained key");
-        let cold = ClusteredCounts::build(grown.data(), &new_labels, n_clusters);
+        let cold = ClusteredCounts::build(grown.data(), &new_labels, n_clusters, 1);
         assert_eq!(refreshed.counts.n_rows(), cold.n_rows());
         assert_eq!(refreshed.counts.cluster_sizes(), cold.cluster_sizes());
         for a in 0..cold.n_attributes() {

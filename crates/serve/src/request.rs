@@ -791,6 +791,14 @@ mod tests {
         assert!(req.consistency);
         let reparsed = ExplainRequest::from_json_line(&req.to_json_line()).unwrap();
         assert_eq!(reparsed, req);
+        // Every kernel survives a render-and-reparse, including the
+        // auto-threaded counter-parallel one.
+        for kernel in ["seq", "counter", "counter-par", "counter-par/4"] {
+            let line = format!(r#"{{"id":1,"stage2_kernel":"{kernel}"}}"#);
+            let req = ExplainRequest::from_json_line(&line).unwrap();
+            let reparsed = ExplainRequest::from_json_line(&req.to_json_line()).unwrap();
+            assert_eq!(reparsed, req, "{kernel}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn key_for(data: &Dataset, labels: &[usize]) -> CountsKey {
 }
 
 fn build_tables(data: &Dataset, labels: &[usize]) -> CountedTables {
-    let counts = ClusteredCounts::build(data, labels, N_CLUSTERS);
+    let counts = ClusteredCounts::build(data, labels, N_CLUSTERS, 1);
     let table = ScoreTable::from_clustered_counts(&counts);
     CountedTables { counts, table }
 }

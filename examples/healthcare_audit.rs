@@ -57,7 +57,7 @@ fn main() {
     }
 
     // --- Offline comparison against the non-private explanation. ---
-    let counts = ClusteredCounts::build(&data, &labels, n_clusters);
+    let counts = ClusteredCounts::build(&data, &labels, n_clusters, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     let evaluator = QualityEvaluator::new(&st, Weights::equal());
     let reference = tabee::select(&st, 3, Weights::equal());

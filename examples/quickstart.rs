@@ -50,7 +50,7 @@ fn main() {
 
     // 5. How close is this to the non-private explanation? (Requires access
     //    to the raw data — this part is offline evaluation, not a release.)
-    let counts = ClusteredCounts::build(&data, &labels, 3);
+    let counts = ClusteredCounts::build(&data, &labels, 3, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     let reference = tabee::select(&st, 3, Weights::equal());
     println!(

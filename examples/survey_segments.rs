@@ -27,12 +27,12 @@ fn main() {
     let model = ClusteringMethod::Gmm.fit(&data, n_clusters, &mut rng);
     let labels = model.assign_all(&data);
 
-    let counts = ClusteredCounts::build(&data, &labels, n_clusters);
+    let counts = ClusteredCounts::build(&data, &labels, n_clusters, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
 
     // Stage 1 unchanged (Appendix B): top-k candidates per cluster, k ≥ ℓ.
     let eps_cand = Epsilon::new(0.1).expect("positive");
-    let candidates = select_candidates(&st, weights.gamma(), eps_cand, 4, &mut rng)
+    let candidates = select_candidates(&st, weights.gamma(), eps_cand, 4, 1, &mut rng)
         .expect("valid configuration");
 
     // Stage 2: exponential mechanism over binom(k, ℓ)^|C| subset combinations.
@@ -50,6 +50,7 @@ fn main() {
         eps_hist,
         &GeometricHistogram,
         &mut accountant,
+        1,
         &mut rng,
     )
     .expect("valid configuration");

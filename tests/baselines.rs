@@ -18,7 +18,7 @@ fn world(rows: usize, n_clusters: usize, seed: u64) -> World {
     let synth = synth::diabetes::spec(n_clusters).generate(rows, &mut rng);
     let model = ClusteringMethod::KMeans.fit(&synth.data, n_clusters, &mut rng);
     let labels = model.assign_all(&synth.data);
-    let counts = ClusteredCounts::build(&synth.data, &labels, n_clusters);
+    let counts = ClusteredCounts::build(&synth.data, &labels, n_clusters, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     World { counts, st }
 }
@@ -115,7 +115,7 @@ fn small_clusters_degrade_dp_quality_but_not_tabee() {
     let (small_data, small_labels) =
         dpx_data::sample::sample_per_cluster(&synth.data, &labels, 3, 0.005, &mut rng);
     let small = {
-        let counts = ClusteredCounts::build(&small_data, &small_labels, 3);
+        let counts = ClusteredCounts::build(&small_data, &small_labels, 3, 1);
         let st = ScoreTable::from_clustered_counts(&counts);
         World { counts, st }
     };

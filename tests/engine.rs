@@ -180,7 +180,7 @@ fn prepared_counts_match_engine_built_counts() {
             &mut NoopObserver,
         )
         .unwrap();
-    let counts = ClusteredCounts::build(&data, &labels, 3);
+    let counts = ClusteredCounts::build(&data, &labels, 3, 1);
     let prepared = engine
         .explain_prepared(
             data.schema(),

@@ -66,7 +66,7 @@ fn chaos_mechanism_yields_well_formed_explanations() {
 #[test]
 fn chaos_mechanism_with_consistency_projection_stays_finite() {
     let (data, labels) = world();
-    let counts = ClusteredCounts::build(&data, &labels, 2);
+    let counts = ClusteredCounts::build(&data, &labels, 2, 1);
     let mut acc = Accountant::new();
     let mut rng = StdRng::seed_from_u64(5);
     let expl = generate_histograms(
@@ -77,6 +77,7 @@ fn chaos_mechanism_with_consistency_projection_stays_finite() {
         &ChaosHistogram,
         true, // consistency projection over garbage inputs
         &mut acc,
+        1,
         &mut rng,
     )
     .unwrap();

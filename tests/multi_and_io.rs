@@ -15,7 +15,7 @@ fn multi_explanations_end_to_end() {
     let mut rng = StdRng::seed_from_u64(21);
     let synth = synth::diabetes::spec(3).generate(6_000, &mut rng);
     let labels = synth.latent_groups.clone();
-    let counts = ClusteredCounts::build(&synth.data, &labels, 3);
+    let counts = ClusteredCounts::build(&synth.data, &labels, 3, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     let weights = Weights::equal();
 
@@ -24,6 +24,7 @@ fn multi_explanations_end_to_end() {
         weights.gamma(),
         Epsilon::new(0.2).unwrap(),
         4,
+        1,
         &mut rng,
     )
     .unwrap();
@@ -51,6 +52,7 @@ fn multi_explanations_end_to_end() {
         Epsilon::new(0.2).unwrap(),
         &GeometricHistogram,
         &mut acc,
+        1,
         &mut rng,
     )
     .unwrap();
@@ -68,7 +70,7 @@ fn multi_score_improves_or_matches_with_more_slots() {
     let mut rng = StdRng::seed_from_u64(22);
     let synth = synth::diabetes::spec(3).generate(6_000, &mut rng);
     let labels = synth.latent_groups.clone();
-    let counts = ClusteredCounts::build(&synth.data, &labels, 3);
+    let counts = ClusteredCounts::build(&synth.data, &labels, 3, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     let weights = Weights::equal();
     let candidates = select_candidates(
@@ -76,6 +78,7 @@ fn multi_score_improves_or_matches_with_more_slots() {
         weights.gamma(),
         Epsilon::new(500.0).unwrap(),
         4,
+        1,
         &mut rng,
     )
     .unwrap();

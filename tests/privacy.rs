@@ -38,7 +38,7 @@ fn selection_distribution(
     eps: f64,
     runs: u64,
 ) -> HashMap<Vec<usize>, f64> {
-    let counts = ClusteredCounts::build(data, labels, 2);
+    let counts = ClusteredCounts::build(data, labels, 2, 1);
     let st = ScoreTable::from_clustered_counts(&counts);
     let cfg = DpClustXConfig::selection_only(eps, 2, Weights::equal());
     let explainer = DpClustX::new(cfg);
@@ -140,7 +140,7 @@ fn histogram_noise_scales_with_budget() {
     let mut rng = StdRng::seed_from_u64(10);
     let synth = synth::diabetes::spec(2).generate(5_000, &mut rng);
     let labels = synth.latent_groups.clone();
-    let counts = ClusteredCounts::build(&synth.data, &labels, 2);
+    let counts = ClusteredCounts::build(&synth.data, &labels, 2, 1);
 
     let err_at = |eps_hist: f64, rng: &mut StdRng| -> f64 {
         let cfg = DpClustXConfig {
