@@ -52,14 +52,15 @@
 //! drives `dpclustx-cli serve-batch` as a child process from the CLI
 //! crate's crash matrix (`crates/cli/tests/crash_matrix.rs`).
 
-use crate::daemon::{Daemon, DaemonConfig, DaemonReply, ReplySink};
-use crate::registry::DatasetRegistry;
-use crate::request::{reject_reason, ExplainRequest, ExplainResponse};
-use crate::service::{reason, BatchOptions, ExplainService};
 use dpx_data::synth::diabetes;
 use dpx_dp::budget::Epsilon;
 use dpx_dp::shards::ShardConfig;
 use dpx_dp::SharedAccountant;
+use dpx_serve::daemon::{Daemon, DaemonConfig, DaemonReply, ReplySink};
+use dpx_serve::{
+    reason, reject_reason, BatchOptions, DatasetRegistry, ExplainRequest, ExplainResponse,
+    ExplainService,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
@@ -1122,7 +1123,8 @@ pub trait SpendGate: Sync {
 
 impl SpendGate for SharedAccountant {
     fn try_admit(&self, id: u64, eps: Epsilon) -> bool {
-        self.try_spend_grant(id, format!("abuse/{id}"), eps).is_ok()
+        self.try_spend_grant_cancellable(id, format!("abuse/{id}"), eps, None)
+            .is_ok()
     }
 
     fn admitted_eps(&self) -> f64 {

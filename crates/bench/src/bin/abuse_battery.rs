@@ -3,7 +3,7 @@
 //!
 //! Two parts, both seeded and deterministic in shape:
 //!
-//! 1. **The full battery** ([`dpx_serve::abuse::run_all`]) must pass — the
+//! 1. **The full battery** ([`dpx_bench::abuse::run_all`]) must pass — the
 //!    curve below is only a result if every accounting invariant held while
 //!    it was measured.
 //! 2. **The fraction sweep**: a fixed-size request storm where the
@@ -22,8 +22,8 @@
 //!     --requests 32 --seed 2026
 //! ```
 
+use dpx_bench::abuse::{budget_storm, run_all, StormConfig};
 use dpx_bench::{Args, Json};
-use dpx_serve::abuse::{budget_storm, run_all, StormConfig};
 
 fn main() {
     let args = Args::parse();

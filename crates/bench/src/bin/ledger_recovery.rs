@@ -116,7 +116,7 @@ fn main() {
         let full_path = dir.join(format!("full-{n}.wal"));
         let _ = std::fs::remove_file(&full_path);
         let (mut writer, _) = LedgerWriter::open(&full_path).expect("create full ledger");
-        writer.append_all(&grants).expect("append full history");
+        writer.append(&grants).expect("append full history");
         drop(writer);
 
         // Checkpointed ledger: the same history, compacted the way a live
@@ -134,9 +134,7 @@ fn main() {
         writer
             .checkpoint(&checkpoint_after(&grants, tail_start))
             .expect("write checkpoint");
-        writer
-            .append_all(&grants[tail_start..])
-            .expect("append tail");
+        writer.append(&grants[tail_start..]).expect("append tail");
         drop(writer);
 
         let (full_s, full_spent, full_replayed) = time_recovery(&full_path, runs);

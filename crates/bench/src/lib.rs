@@ -7,6 +7,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod abuse;
 pub mod args;
 pub mod context;
 pub mod counts_ablation;

@@ -258,7 +258,6 @@ struct ServingSetup {
     ledger_dir: Option<String>,
     resume: bool,
     deadline_ms: Option<u64>,
-    checkpoint_every: Option<u64>,
 }
 
 /// Validates the shared durability flags, loads the dataset, and opens the
@@ -298,10 +297,11 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
             ));
         }
     }
-    // Group commit batches concurrent grant fsyncs; either flag opts in and
-    // the other takes its default. A max batch of 0 or 1 degenerates to the
-    // per-grant path (the documented way to measure the baseline with the
-    // flag still on the command line).
+    // Every durable grant commits through group commit; with neither flag
+    // each commit is a batch of one. Either flag sets a window and the other
+    // takes its default: no wait (grants batch only while a leader's fsync
+    // is in flight) and at most 64 grants per fsync. A max batch of 0 or 1
+    // keeps batches of one.
     let group_commit = match (group_wait_us, group_max_batch) {
         (None, None) => None,
         (wait, batch) => {
@@ -313,7 +313,7 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
                 ));
             }
             Some(dpx_dp::GroupCommitPolicy {
-                max_wait_us: wait.unwrap_or(200),
+                max_wait_us: wait.unwrap_or(0),
                 max_batch: batch.unwrap_or(64),
             })
         }
@@ -351,7 +351,6 @@ fn open_serving_setup(cli: &Cli) -> Result<ServingSetup, CliError> {
         ledger_dir,
         resume,
         deadline_ms,
-        checkpoint_every,
     })
 }
 
@@ -407,7 +406,6 @@ fn serve_batch<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError
         ledger_dir,
         resume,
         deadline_ms,
-        checkpoint_every,
     } = open_serving_setup(cli)?;
     let requests_path = cli.required("requests")?.to_string();
     let out_path = cli.required("out")?.to_string();
@@ -468,7 +466,6 @@ fn serve_batch<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliError
         .with_options(BatchOptions {
             deadline_ms,
             granted,
-            checkpoint_every,
         });
 
     // Stream every response append-and-flush (kept lines re-written first) so
@@ -634,7 +631,6 @@ fn serve_daemon<W: std::io::Write>(cli: &Cli, out: &mut W) -> Result<(), CliErro
         drain_deadline_ms,
         deadline_ms: setup.deadline_ms,
         granted: setup.granted.clone(),
-        checkpoint_every: setup.checkpoint_every,
         metrics_out: metrics_out.as_ref().map(std::path::PathBuf::from),
         metrics_every,
         ..Default::default()

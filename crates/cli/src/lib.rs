@@ -136,13 +136,15 @@ USAGE:
       request ids that hold a recovered grant. The summary reports each
       shard's ledger stats (records replayed, torn bytes truncated,
       checkpoint age) alongside the ε accounting.
-      --group-commit-max-wait-us US / --group-commit-max-batch N (require
-      --ledger-dir; either flag opts in, the other takes its default of
-      200us/64) batch concurrent grants into one fsync: the first spender to
-      reach the ledger leads, waits up to US microseconds (or until N grants
+      Every grant commits through group commit: the first spender to reach
+      the ledger leads, waits up to US microseconds (or until N grants
       queue), appends the whole batch under a single fsync, and wakes the
       others — every request still acks only after its own grant is durable.
-      --group-commit-max-batch 0 or 1 keeps the per-grant commit path.
+      With neither --group-commit-max-wait-us US nor --group-commit-max-batch
+      N (both require --ledger-dir) every batch holds one grant; either flag
+      sets a window and the other takes its default of 0us/64, so grants
+      batch only while a leader's fsync is in flight. A max batch of 0 or 1
+      keeps batches of one.
       --deadline-ms bounds each request's wall clock (per-request
       'deadline_ms' overrides it), covering admission too: a request whose
       deadline expires before its grant commits is rejected with reason
@@ -166,8 +168,9 @@ USAGE:
       over stdin (default), a JSONL file (--requests), or a Unix socket
       (--socket, one handler per connection, replies echoed per line), are
       admitted into a bounded per-tenant queue (--queue-capacity slots per
-      dataset, weighted round-robin dequeue), and execute on --workers
-      threads. Admission rejects *before* any ε is touched, each reject
+      dataset, round-robin dequeue), and execute on --workers threads. The
+      ledger flags (--ledger-dir, --checkpoint-every, --group-commit-*) mean
+      what they mean for serve-batch. Admission rejects *before* any ε is touched, each reject
       typed on the response stream: budget_exceeded (+eps_remaining) when
       the request's ε exceeds the shard's live headroom, deadline_exceeded
       when the deadline is infeasible behind the current queue at the

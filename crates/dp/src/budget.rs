@@ -330,14 +330,6 @@ impl Accountant {
         Ok(())
     }
 
-    /// The effective ε of the named parallel group (its running maximum), if
-    /// the group exists.
-    pub fn parallel_group_max(&self, group: &str) -> Option<f64> {
-        self.parallel_index
-            .get(group)
-            .map(|&idx| self.parallel[idx].1)
-    }
-
     /// Number of individual charges recorded (for audit output).
     pub fn num_charges(&self) -> usize {
         self.sequential.len() + self.parallel.iter().map(|(_, _, m)| m.len()).sum::<usize>()
@@ -420,10 +412,11 @@ impl Accountant {
 /// can together push the total past the cap — a classic TOCTOU race that
 /// silently breaks the ε-DP guarantee (the composition theorem bounds the
 /// *actual* total spend, not what each racer believed it to be). Here every
-/// [`try_spend`](SharedAccountant::try_spend) holds the ledger lock across
-/// both the cap check and the recording, so there is no window in which a
-/// second spender can sneak past a stale check: the sum of all accepted
-/// charges can never exceed the cap, for any interleaving.
+/// [`try_spend_grant_cancellable`](SharedAccountant::try_spend_grant_cancellable)
+/// checks the cap and records (or reserves) its ε under one ledger lock, so
+/// there is no window in which a second spender can sneak past a stale
+/// check: the sum of all accepted charges can never exceed the cap, for any
+/// interleaving.
 ///
 /// The inner ledger stays the audited, single-threaded [`Accountant`];
 /// [`snapshot`](SharedAccountant::snapshot) clones it out for audit trails
@@ -431,12 +424,13 @@ impl Accountant {
 ///
 /// # Durability
 ///
-/// An optional write-ahead sink (see [`crate::ledger`]) can be attached, after
-/// which every accepted spend follows the WAL rule *check cap → append+fsync →
-/// record in memory*, all under the one lock. A spend only reports success
-/// once its grant is on stable storage, so a crash at any instant leaves the
-/// durable record a superset of every spend any caller ever saw accepted —
-/// the restart can only over-count (privacy-safe), never forget.
+/// A [`recovered`](SharedAccountant::recovered) accountant owns a write-ahead
+/// sink (see [`crate::ledger`]), and every accepted spend follows the WAL
+/// rule *reserve against the cap → append+fsync → record in memory* through
+/// one group-commit path. A spend only reports success once its grant is on
+/// stable storage, so a crash at any instant leaves the durable record a
+/// superset of every spend any caller ever saw accepted — the restart can
+/// only over-count (privacy-safe), never forget.
 #[derive(Debug, Default)]
 struct Ledgered {
     acc: Accountant,
@@ -454,7 +448,7 @@ struct Ledgered {
     /// reservation into real charges at commit (or releases it on failure
     /// or cancellation-withdrawal).
     pending_eps: f64,
-    /// Group-commit window for grant spends (`None`: per-grant commits).
+    /// Group-commit window for grant spends (`None`: batches of one).
     group_commit: Option<GroupCommitPolicy>,
     stats: LedgerStats,
 }
@@ -491,9 +485,14 @@ impl Ledgered {
         }
     }
 
-    /// Applies the auto-checkpoint policy after a successful durable append.
-    fn note_append(&mut self) {
-        self.note_batch(1);
+    /// Records an accepted grant in memory. Cap-bypassing: the caller has
+    /// already checked (or reserved) the ε under this lock, and a durable
+    /// grant must be counted unconditionally, as replay would count it.
+    fn record(&mut self, request_id: u64, label: String, eps: f64) {
+        self.acc.charge_replayed(label, eps);
+        if request_id != NO_REQUEST {
+            self.granted.push(request_id);
+        }
     }
 
     /// Cap check that also counts ε reserved in the group-commit queue:
@@ -506,22 +505,17 @@ impl Ledgered {
 
 /// Group-commit window for a durable [`SharedAccountant`]'s spend path: how
 /// long the batch leader holds the commit open for followers, and for how
-/// many grants. `max_batch <= 1` disables batching — today's per-grant
-/// append+fsync behavior, selectable at runtime.
+/// many grants. `max_batch <= 1` makes every commit a batch of one — one
+/// append+fsync per grant, on the same path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCommitPolicy {
     /// Longest time (µs) the leader waits for followers before committing.
     pub max_wait_us: u64,
-    /// Commit as soon as this many grants are queued (`<= 1`: no batching).
+    /// Commit as soon as this many grants are queued (`<= 1`: batches of one).
     pub max_batch: u64,
 }
 
 impl GroupCommitPolicy {
-    /// Whether this policy actually groups commits.
-    fn batches(self) -> bool {
-        self.max_batch > 1
-    }
-
     fn window(self) -> BatchWindow {
         BatchWindow {
             max_wait: Duration::from_micros(self.max_wait_us),
@@ -560,12 +554,12 @@ pub struct LedgerStats {
     /// Checkpoint attempts that failed (the WAL keeps its full history; the
     /// failure costs log length, never ε).
     pub checkpoint_failures: u64,
-    /// Grant records made durable by this accountant (any append path).
+    /// Grant records made durable by this accountant.
     pub grants_appended: u64,
-    /// Fsynced append batches: per-grant spends count one batch per grant,
-    /// group commits one per batch, so `grants_appended / append_batches`
-    /// is the grants-per-fsync amortization factor (checkpoint compactions
-    /// excluded — they are policy, not spend).
+    /// Fsynced append batches (a batch of one when the policy does not
+    /// group), so `grants_appended / append_batches` is the grants-per-fsync
+    /// amortization factor (checkpoint compactions excluded — they are
+    /// policy, not spend).
     pub append_batches: u64,
 }
 
@@ -573,9 +567,9 @@ pub struct LedgerStats {
 #[derive(Debug, Default)]
 pub struct SharedAccountant {
     inner: std::sync::Mutex<Ledgered>,
-    /// Leader/follower queue for group-committed grant spends (see
-    /// [`SharedAccountant::try_spend_grant_cancellable`]). Idle unless a
-    /// [`GroupCommitPolicy`] with `max_batch > 1` is installed.
+    /// Leader/follower queue every durable grant spend commits through (see
+    /// [`SharedAccountant::try_spend_grant_cancellable`]). Idle for
+    /// in-memory accountants.
     batcher: Batcher<PendingGrant, Result<(), DpError>>,
 }
 
@@ -603,8 +597,8 @@ impl SharedAccountant {
         }
     }
 
-    /// Rebuilds an accountant from a recovered ledger and re-attaches the
-    /// writer for further durable spends. Replayed grants **bypass the cap**
+    /// Rebuilds an accountant from a recovered ledger and keeps the writer
+    /// for further durable spends. Replayed grants **bypass the cap**
     /// — they are history, and under-reporting spent ε is the one direction
     /// accounting must never err in. A recovered spend at or above the cap
     /// leaves zero headroom; it does not fail recovery.
@@ -667,12 +661,6 @@ impl SharedAccountant {
         }
     }
 
-    /// Attaches a durable write-ahead sink: from now on every accepted spend
-    /// is fsynced to the ledger file before it is reported accepted.
-    pub fn attach_ledger(&self, writer: LedgerWriter) {
-        self.lock().sink = Some(writer);
-    }
-
     /// Whether a durable sink is attached.
     pub fn is_durable(&self) -> bool {
         self.lock().sink.is_some()
@@ -689,71 +677,25 @@ impl SharedAccountant {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Atomically checks the cap **and** records a sequential charge: either
-    /// the charge is accepted and fully recorded in the ledger, or nothing is
+    /// Atomically checks the cap **and** records a sequential charge for
+    /// `request_id` ([`NO_REQUEST`] if the spend belongs to no request):
+    /// either the charge is accepted and fully recorded, or nothing is
     /// recorded and [`DpError::BudgetExceeded`] is returned. No interleaving
-    /// of concurrent `try_spend` calls can overdraw the cap.
-    ///
-    /// With a durable sink attached the grant is recorded under
-    /// [`NO_REQUEST`]; spends that belong to a serving request should use
-    /// [`try_spend_grant`](Self::try_spend_grant) so a resumed run can skip
-    /// the request by id.
-    pub fn try_spend(&self, label: impl Into<String>, eps: Epsilon) -> Result<(), DpError> {
-        self.try_spend_grant(NO_REQUEST, label, eps)
-    }
-
-    /// [`try_spend`](Self::try_spend) with an explicit request id recorded in
-    /// the durable grant. Order of operations under the single lock: cap
-    /// check, then append+fsync to the sink (if any), then the in-memory
-    /// charge — success is only reported once the grant is durable, and a
-    /// failed fsync rejects the spend with [`DpError::LedgerWrite`].
-    pub fn try_spend_grant(
-        &self,
-        request_id: u64,
-        label: impl Into<String>,
-        eps: Epsilon,
-    ) -> Result<(), DpError> {
-        let label = label.into();
-        let mut inner = self.lock();
-        inner.check_cap(eps.get())?;
-        if inner.sink.is_some() {
-            faultpoint::hit(SHARD_PRE_APPEND);
-            let grant = GrantRecord {
-                request_id,
-                epsilon: eps.get(),
-                label: label.clone(),
-                group: None,
-            };
-            let sink = inner.sink.as_mut().expect("checked above");
-            sink.append(&grant).map_err(|e| DpError::LedgerWrite {
-                message: e.to_string(),
-            })?;
-        }
-        inner.acc.charge(label, eps)?;
-        if request_id != NO_REQUEST {
-            inner.granted.push(request_id);
-        }
-        if inner.sink.is_some() {
-            inner.note_append();
-        }
-        Ok(())
-    }
-
-    /// [`try_spend_grant`](Self::try_spend_grant) with cooperative
-    /// cancellation and group commit.
+    /// of concurrent spends can overdraw the cap.
     ///
     /// The token is consulted **before any ε is reserved**: an
     /// already-cancelled token (e.g. an expired deadline) returns
-    /// [`DpError::Cancelled`] having spent nothing. When a
-    /// [`GroupCommitPolicy`] with `max_batch > 1` is installed on a durable
-    /// accountant, the spend is *admitted* (its ε reserved against the cap
-    /// under the accountant lock — concurrent admissions cannot jointly
-    /// breach it) and enqueued; the first enqueuer becomes the batch leader
-    /// and commits the whole queue with **one** append+fsync via
-    /// [`LedgerWriter::append_group`]. Every spend still returns only after
-    /// its own record is durable, so the WAL invariant is unchanged: success
-    /// implies durable, and the batch is charged in memory in exactly the
-    /// order it sits in the file, keeping recovery bit-exact.
+    /// [`DpError::Cancelled`] having spent nothing. An accountant without a
+    /// sink then charges directly under its lock. A durable accountant
+    /// *admits* the spend (its ε reserved against the cap under the lock —
+    /// concurrent admissions cannot jointly breach it) and enqueues it; the
+    /// first enqueuer becomes the batch leader and commits the queue, up to
+    /// the [`GroupCommitPolicy`]'s `max_batch` grants (one without a policy),
+    /// with **one** append+fsync. Every spend returns only after its own
+    /// record is durable — success implies durable, and a failed fsync
+    /// rejects with [`DpError::LedgerWrite`] — and the batch is charged in
+    /// memory in exactly the order it sits in the file, keeping recovery
+    /// bit-exact.
     ///
     /// A token that cancels while the grant is still **queued** withdraws it
     /// (reservation released, nothing spent). Once the leader has drained the
@@ -772,33 +714,18 @@ impl SharedAccountant {
             return Err(DpError::Cancelled { reason });
         }
         let label = label.into();
-        // Admission: reserve against the cap and capture the window, all
-        // under the accountant lock, then release it before queueing so the
-        // leader can take it for the commit.
+        // Admission: check the cap and reserve, all under the accountant
+        // lock, then release it before queueing so the leader can take it
+        // for the commit.
         let window = {
             let mut inner = self.lock();
-            match inner.group_commit {
-                Some(policy) if policy.batches() && inner.sink.is_some() => {
-                    inner.check_cap(eps.get())?;
-                    inner.pending_eps += eps.get();
-                    let mut window = policy.window();
-                    // Solo-spender fast path (PostgreSQL's commit_siblings):
-                    // holding the commit window open only pays when another
-                    // spender is already queued behind the ledger. An
-                    // uncontended spend commits immediately, so enabling
-                    // group commit never taxes a quiet shard — batches still
-                    // form under load, from grants that pile up while the
-                    // previous leader's fsync is in flight.
-                    if self.batcher.queued() == 0 {
-                        window.max_wait = Duration::ZERO;
-                    }
-                    window
-                }
-                _ => {
-                    drop(inner);
-                    return self.try_spend_grant(request_id, label, eps);
-                }
+            inner.check_cap(eps.get())?;
+            if inner.sink.is_none() {
+                inner.record(request_id, label, eps.get());
+                return Ok(());
             }
+            inner.pending_eps += eps.get();
+            inner.group_commit.unwrap_or_default().window()
         };
         let pending = PendingGrant {
             request_id,
@@ -822,12 +749,14 @@ impl SharedAccountant {
     }
 
     /// The batch leader's commit: one append+fsync for the whole batch, then
-    /// in-memory charges in file order. Runs under the accountant lock —
-    /// the same critical section discipline as the per-grant path, so
-    /// checkpoints and concurrent per-grant spends serialize against it.
+    /// in-memory charges in file order. Runs under the accountant lock, so
+    /// checkpoints serialize against it.
     fn commit_batch(&self, batch: Vec<PendingGrant>) -> Vec<Result<(), DpError>> {
         let mut inner = self.lock();
+        // The reservation resolves either way: into charges on success,
+        // released on failure.
         let total: f64 = batch.iter().map(|g| g.eps).sum();
+        inner.pending_eps = (inner.pending_eps - total).max(0.0);
         let records: Vec<GrantRecord> = batch
             .iter()
             .map(|g| GrantRecord {
@@ -837,97 +766,32 @@ impl SharedAccountant {
                 group: None,
             })
             .collect();
-        let append = match inner.sink.as_mut() {
-            Some(sink) => {
-                faultpoint::hit(SHARD_PRE_APPEND);
-                sink.append_group(&records).map_err(|e| e.to_string())
-            }
-            // The sink vanished between admission and commit (possible only
-            // through attach_ledger misuse); charge in memory regardless —
-            // admission already reserved the ε.
-            None => Ok(()),
-        };
-        // The reservation resolves either way: into charges on success,
-        // released on failure.
-        inner.pending_eps = (inner.pending_eps - total).max(0.0);
-        match append {
-            Err(message) => batch
+        faultpoint::hit(SHARD_PRE_APPEND);
+        let sink = inner.sink.as_mut().expect("only durable spends enqueue");
+        if let Err(e) = sink.append(&records) {
+            let message = e.to_string();
+            return batch
                 .iter()
                 .map(|_| {
                     Err(DpError::LedgerWrite {
                         message: message.clone(),
                     })
                 })
-                .collect(),
-            Ok(()) => {
-                let n = records.len() as u64;
-                for grant in batch {
-                    // Cap-bypassing charge: the record is already durable,
-                    // and a durable grant must be counted unconditionally —
-                    // admission did the cap check, and replay would count it.
-                    inner.acc.charge_replayed(grant.label, grant.eps);
-                    if grant.request_id != NO_REQUEST {
-                        inner.granted.push(grant.request_id);
-                    }
-                }
-                if inner.sink.is_some() {
-                    inner.note_batch(n);
-                }
-                (0..n).map(|_| Ok(())).collect()
-            }
+                .collect();
         }
+        let n = batch.len();
+        for grant in batch {
+            inner.record(grant.request_id, grant.label, grant.eps);
+        }
+        inner.note_batch(n as u64);
+        (0..n).map(|_| Ok(())).collect()
     }
 
     /// Installs (or clears) the group-commit window for
     /// [`try_spend_grant_cancellable`](Self::try_spend_grant_cancellable).
-    /// `None` — or any policy with `max_batch <= 1` — keeps the per-grant
-    /// append+fsync path.
-    pub fn set_group_commit(&self, policy: Option<GroupCommitPolicy>) {
+    /// `None` — or any policy with `max_batch <= 1` — commits batches of one.
+    pub(crate) fn set_group_commit(&self, policy: Option<GroupCommitPolicy>) {
         self.lock().group_commit = policy;
-    }
-
-    /// Atomic parallel-composition variant of
-    /// [`try_spend`](Self::try_spend): see [`Accountant::charge_parallel`].
-    ///
-    /// With a durable sink attached the grant is logged at its full ε
-    /// *tagged with its group*, so replay applies the same max-per-group
-    /// rule the in-memory ledger does — the recovered spend is the tight
-    /// parallel-composition bound, bit-exact with the live one, not the old
-    /// conservative flat sum.
-    pub fn try_spend_parallel(
-        &self,
-        group: impl Into<String>,
-        member: impl Into<String>,
-        eps: Epsilon,
-    ) -> Result<(), DpError> {
-        let group = group.into();
-        let member = member.into();
-        let mut inner = self.lock();
-        if inner.sink.is_some() {
-            // Pre-check the *increment* (what charge_parallel will charge)
-            // so the grant is never appended for a spend the cap rejects.
-            let extra = match inner.acc.parallel_group_max(&group) {
-                Some(max) => (eps.get() - max).max(0.0),
-                None => eps.get(),
-            };
-            inner.check_cap(extra)?;
-            faultpoint::hit(SHARD_PRE_APPEND);
-            let grant = GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: eps.get(),
-                label: format!("{group}/{member}"),
-                group: Some(group.clone()),
-            };
-            let sink = inner.sink.as_mut().expect("checked above");
-            sink.append(&grant).map_err(|e| DpError::LedgerWrite {
-                message: e.to_string(),
-            })?;
-        }
-        inner.acc.charge_parallel(group, member, eps)?;
-        if inner.sink.is_some() {
-            inner.note_append();
-        }
-        Ok(())
     }
 
     /// Total ε spent so far.
@@ -976,7 +840,7 @@ impl SharedAccountant {
     /// the WAL is compacted to a single checkpoint record (`None` disables).
     /// The compaction happens inside the spend's critical section, so the
     /// checkpoint always snapshots a consistent accountant state.
-    pub fn set_checkpoint_every(&self, every: Option<u64>) {
+    pub(crate) fn set_checkpoint_every(&self, every: Option<u64>) {
         self.lock().checkpoint_every = every;
     }
 
@@ -1208,6 +1072,11 @@ mod tests {
         }
     }
 
+    /// A spend with no cancel token (the serving path passes one).
+    fn spend(acc: &SharedAccountant, id: u64, label: &str, eps: f64) -> Result<(), DpError> {
+        acc.try_spend_grant_cancellable(id, label, Epsilon::new(eps).unwrap(), None)
+    }
+
     #[test]
     fn shared_accountant_spends_atomically_across_threads() {
         // 16 threads race 0.1-charges against a 0.5 cap: exactly 5 must be
@@ -1219,10 +1088,7 @@ mod tests {
                 let acc = &acc;
                 let accepted = &accepted;
                 scope.spawn(move || {
-                    if acc
-                        .try_spend(format!("t{t}"), Epsilon::new(0.1).unwrap())
-                        .is_ok()
-                    {
+                    if spend(acc, NO_REQUEST, &format!("t{t}"), 0.1).is_ok() {
                         accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 });
@@ -1238,24 +1104,20 @@ mod tests {
     #[test]
     fn shared_accountant_snapshot_is_consistent() {
         let acc = SharedAccountant::new();
-        acc.try_spend("a", Epsilon::new(0.1).unwrap()).unwrap();
-        acc.try_spend_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
-            .unwrap();
+        spend(&acc, NO_REQUEST, "a", 0.1).unwrap();
+        spend(&acc, 7, "request/7", 0.05).unwrap();
         let ledger = acc.snapshot();
-        assert!((ledger.spent() - 0.17).abs() < 1e-12);
-        assert_eq!(ledger.num_charges(), 3);
-        assert_eq!(acc.num_charges(), 3);
+        assert!((ledger.spent() - 0.15).abs() < 1e-12);
+        assert_eq!(ledger.num_charges(), 2);
+        assert_eq!(acc.num_charges(), 2);
+        assert_eq!(acc.granted_ids(), vec![7]);
     }
 
     #[test]
     fn shared_accountant_rejection_records_nothing() {
         let acc = SharedAccountant::with_cap(Epsilon::new(0.2).unwrap());
-        acc.try_spend("fits", Epsilon::new(0.15).unwrap()).unwrap();
-        let err = acc
-            .try_spend("overdraws", Epsilon::new(0.15).unwrap())
-            .unwrap_err();
+        spend(&acc, NO_REQUEST, "fits", 0.15).unwrap();
+        let err = spend(&acc, NO_REQUEST, "overdraws", 0.15).unwrap_err();
         assert!(matches!(err, DpError::BudgetExceeded { .. }));
         assert_eq!(acc.num_charges(), 1);
         assert!((acc.spent() - 0.15).abs() < 1e-12);
@@ -1320,30 +1182,34 @@ mod tests {
     fn remaining_reports_headroom_and_clamps() {
         let acc = SharedAccountant::with_cap(Epsilon::new(0.5).unwrap());
         assert_eq!(acc.remaining(), Some(0.5));
-        acc.try_spend("a", Epsilon::new(0.3).unwrap()).unwrap();
+        spend(&acc, NO_REQUEST, "a", 0.3).unwrap();
         assert!((acc.remaining().unwrap() - 0.2).abs() < 1e-12);
         assert_eq!(SharedAccountant::new().remaining(), None);
     }
 
-    #[test]
-    fn durable_spends_survive_recovery_and_skip_by_request_id() {
+    fn wal_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("durable.wal");
+        let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
+        path
+    }
 
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        assert!(recovery.grants.is_empty());
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(0.5).unwrap()), writer, &recovery);
+    /// A durable accountant over the WAL at `path`, recovered with `cap`.
+    fn durable(path: &std::path::Path, cap: f64) -> SharedAccountant {
+        let (writer, recovery) = LedgerWriter::open(path).unwrap();
+        SharedAccountant::recovered(Some(Epsilon::new(cap).unwrap()), writer, &recovery)
+    }
+
+    #[test]
+    fn durable_spends_survive_recovery_and_skip_by_request_id() {
+        let path = wal_path("durable.wal");
+        let acc = durable(&path, 0.5);
         assert!(acc.is_durable());
-        acc.try_spend_grant(1, "request/1", Epsilon::new(0.3).unwrap())
-            .unwrap();
+        spend(&acc, 1, "request/1", 0.3).unwrap();
         // Cap rejection appends nothing to the durable log.
-        assert!(acc
-            .try_spend_grant(2, "request/2", Epsilon::new(0.3).unwrap())
-            .is_err());
-        acc.try_spend("session", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        assert!(spend(&acc, 2, "request/2", 0.3).is_err());
+        spend(&acc, NO_REQUEST, "session", 0.1).unwrap();
         drop(acc);
 
         let (writer, recovery) = LedgerWriter::open(&path).unwrap();
@@ -1359,51 +1225,57 @@ mod tests {
         assert_eq!(stats.records_replayed, 2);
         assert!(!stats.recovered_from_checkpoint);
         // The replayed spend still gates new grants against the cap.
-        assert!(resumed
-            .try_spend_grant(3, "request/3", Epsilon::new(0.2).unwrap())
-            .is_err());
-        resumed
-            .try_spend_grant(3, "request/3", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        assert!(spend(&resumed, 3, "request/3", 0.2).is_err());
+        spend(&resumed, 3, "request/3", 0.1).unwrap();
     }
 
     #[test]
     fn replay_bypasses_cap_but_blocks_new_spends() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("overcap.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = wal_path("overcap.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.4)).unwrap();
-        writer.append(&GrantRecord::for_request(2, 0.4)).unwrap();
+        writer
+            .append(&[
+                GrantRecord::for_request(1, 0.4),
+                GrantRecord::for_request(2, 0.4),
+            ])
+            .unwrap();
         drop(writer);
 
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
         // Recovered spend 0.8 exceeds the 0.5 cap: replay must not fail, but
         // headroom is zero and any new spend is rejected.
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(0.5).unwrap()), writer, &recovery);
+        let acc = durable(&path, 0.5);
         assert!((acc.spent() - 0.8).abs() < 1e-12);
         assert_eq!(acc.remaining(), Some(0.0));
-        assert!(acc.try_spend("more", Epsilon::new(0.01).unwrap()).is_err());
+        assert!(spend(&acc, NO_REQUEST, "more", 0.01).is_err());
+    }
+
+    /// Grants tagged with a parallel-composition group.
+    fn group_grants(members: &[(&str, &str, f64)]) -> Vec<GrantRecord> {
+        members
+            .iter()
+            .map(|&(group, member, epsilon)| GrantRecord {
+                request_id: NO_REQUEST,
+                epsilon,
+                label: format!("{group}/{member}"),
+                group: Some(group.to_string()),
+            })
+            .collect()
     }
 
     #[test]
     fn durable_parallel_spends_replay_tight_and_reclaim_epsilon() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("parallel.wal");
-        let _ = std::fs::remove_file(&path);
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        acc.try_spend_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
+        // The live in-memory rule: the group costs its max, 0.07.
+        let mut live = Accountant::with_cap(Epsilon::new(1.0).unwrap());
+        live.charge_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
             .unwrap();
-        acc.try_spend_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
+        live.charge_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
             .unwrap();
-        // In memory the group costs max = 0.07.
-        assert!((acc.spent() - 0.07).abs() < 1e-12);
-        let live_bits = acc.spent().to_bits();
-        let live_remaining = acc.remaining().unwrap();
-        drop(acc);
+        let path = wal_path("parallel.wal");
+        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
+        writer
+            .append(&group_grants(&[("hist", "c0", 0.05), ("hist", "c1", 0.07)]))
+            .unwrap();
+        drop(writer);
 
         // The group-tagged log replays the same tight max-per-group bound.
         let recovery = crate::ledger::recover(&path).unwrap();
@@ -1413,11 +1285,9 @@ mod tests {
 
         // Replaying through an accountant reclaims the ε the old flat rule
         // (0.05 + 0.07 = 0.12) used to burn: headroom is restored bit-exactly.
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let resumed =
-            SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
-        assert_eq!(resumed.spent().to_bits(), live_bits);
-        assert_eq!(resumed.remaining().unwrap(), live_remaining);
+        let resumed = durable(&path, 1.0);
+        assert_eq!(resumed.spent().to_bits(), live.spent().to_bits());
+        assert_eq!(resumed.remaining(), live.remaining());
         let flat_sum: f64 = recovery.grants.iter().map(|g| g.epsilon).sum();
         assert!(
             resumed.spent() < flat_sum,
@@ -1432,28 +1302,20 @@ mod tests {
     /// composition-aware replay.
     #[test]
     fn checkpointed_recovery_is_bit_exact_with_live_accountant() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bitexact.wal");
-        let _ = std::fs::remove_file(&path);
-
-        // A deliberately round-off-prone spend sequence (0.1 and 0.3 are not
-        // exactly representable) interleaving sequential and grouped spends.
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
-        acc.try_spend_grant(1, "request/1", Epsilon::new(0.1).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("cluster", "c0", Epsilon::new(0.3).unwrap())
-            .unwrap();
-        acc.try_spend_grant(2, "request/2", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        // A deliberately round-off-prone history (0.1 and 0.3 are not
+        // exactly representable) interleaving sequential and grouped grants.
+        let path = wal_path("bitexact.wal");
+        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
+        let mut history = vec![GrantRecord::for_request(1, 0.1)];
+        history.extend(group_grants(&[("cluster", "c0", 0.3)]));
+        history.push(GrantRecord::for_request(2, 0.1));
+        writer.append(&history).unwrap();
+        drop(writer);
+        let acc = durable(&path, 10.0);
         acc.checkpoint_now().unwrap();
-        acc.try_spend_parallel("cluster", "c1", Epsilon::new(0.7).unwrap())
-            .unwrap();
-        acc.try_spend_parallel("other", "c0", Epsilon::new(0.2).unwrap())
-            .unwrap();
-        acc.try_spend_grant(3, "request/3", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        spend(&acc, 3, "request/3", 0.1).unwrap();
+        spend(&acc, 4, "request/4", 0.7).unwrap();
+        spend(&acc, 5, "request/5", 0.1).unwrap();
         let live_bits = acc.spent().to_bits();
         let stats = acc.ledger_stats();
         assert_eq!(stats.checkpoints_written, 1);
@@ -1470,35 +1332,30 @@ mod tests {
         assert_eq!(resumed.spent().to_bits(), live_bits, "replayed accountant");
         let mut ids = resumed.granted_ids();
         ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
 
         // Checkpoint again post-recovery and recover once more: the chain of
         // checkpoints stays bit-exact.
-        resumed
-            .try_spend_grant(4, "request/4", Epsilon::new(0.1).unwrap())
-            .unwrap();
+        spend(&resumed, 6, "request/6", 0.1).unwrap();
         let live_bits = resumed.spent().to_bits();
         resumed.checkpoint_now().unwrap();
         drop(resumed);
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
+        let (_, recovery) = LedgerWriter::open(&path).unwrap();
         assert_eq!(recovery.records_replayed(), 1, "fully compacted");
-        let resumed =
-            SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
-        assert_eq!(resumed.spent().to_bits(), live_bits, "second generation");
+        assert_eq!(
+            durable(&path, 10.0).spent().to_bits(),
+            live_bits,
+            "second generation"
+        );
     }
 
     #[test]
     fn auto_checkpoint_policy_compacts_the_wal() {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("autockpt.wal");
-        let _ = std::fs::remove_file(&path);
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
+        let path = wal_path("autockpt.wal");
+        let acc = durable(&path, 10.0);
         acc.set_checkpoint_every(Some(3));
         for id in 1..=7u64 {
-            acc.try_spend_grant(id, format!("request/{id}"), Epsilon::new(0.1).unwrap())
-                .unwrap();
+            spend(&acc, id, &format!("request/{id}"), 0.1).unwrap();
         }
         let stats = acc.ledger_stats();
         assert_eq!(stats.checkpoints_written, 2, "after the 3rd and 6th grant");
@@ -1518,20 +1375,11 @@ mod tests {
         assert_eq!(ids, (1..=7).collect::<Vec<u64>>());
     }
 
-    fn wal_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
-    }
-
     #[test]
     fn group_commit_batches_grants_under_one_fsync_and_recovers_bit_exact() {
         const N: u64 = 8;
         let path = wal_path("group-commit.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
+        let acc = durable(&path, 10.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 100_000,
             max_batch: N,
@@ -1582,8 +1430,7 @@ mod tests {
         // 16 racing 0.1-spends against a 0.5 cap through the grouped path:
         // exactly 5 admitted, and the WAL holds exactly the accepted grants.
         let path = wal_path("group-cap.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(0.5).unwrap()), writer, &recovery);
+        let acc = durable(&path, 0.5);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 50_000,
             max_batch: 16,
@@ -1623,8 +1470,7 @@ mod tests {
     #[test]
     fn cancellable_spend_pre_checks_token_without_spending() {
         let path = wal_path("group-cancel.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
+        let acc = durable(&path, 1.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 1_000,
             max_batch: 4,
@@ -1642,22 +1488,16 @@ mod tests {
 
     #[test]
     fn disabled_group_commit_policy_keeps_per_grant_commits() {
-        let path = wal_path("group-off.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
+        let acc = durable(&wal_path("group-off.wal"), 1.0);
+        // No policy at all: every commit is a batch of one.
+        spend(&acc, 1, "request/1", 0.1).unwrap();
         // max_batch <= 1 means "no batching", whatever the wait says.
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 50_000,
             max_batch: 1,
         }));
-        for id in 1..=3u64 {
-            acc.try_spend_grant_cancellable(
-                id,
-                format!("request/{id}"),
-                Epsilon::new(0.1).unwrap(),
-                None,
-            )
-            .unwrap();
+        for id in 2..=3u64 {
+            spend(&acc, id, &format!("request/{id}"), 0.1).unwrap();
         }
         let stats = acc.ledger_stats();
         assert_eq!(stats.grants_appended, 3);
@@ -1665,42 +1505,46 @@ mod tests {
     }
 
     #[test]
-    fn solo_spender_skips_the_commit_window() {
-        // An uncontended spend must not wait out the window: with a 2-second
-        // window and nobody queued behind the ledger, three sequential spends
-        // complete in well under one window.
-        let path = wal_path("group-solo.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(1.0).unwrap()), writer, &recovery);
+    fn zero_window_never_delays_a_solo_spend() {
+        // A zero window commits at once, however large max_batch is: three
+        // sequential solo spends are three batches, none waiting for
+        // followers that never come.
+        let acc = durable(&wal_path("group-solo.wal"), 1.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
-            max_wait_us: 2_000_000,
-            max_batch: 8,
+            max_wait_us: 0,
+            max_batch: 64,
         }));
         let t0 = std::time::Instant::now();
         for id in 1..=3u64 {
-            acc.try_spend_grant_cancellable(
-                id,
-                format!("request/{id}"),
-                Epsilon::new(0.1).unwrap(),
-                None,
-            )
-            .unwrap();
+            spend(&acc, id, &format!("request/{id}"), 0.1).unwrap();
         }
         assert!(
             t0.elapsed() < Duration::from_secs(1),
-            "solo spends waited out the group-commit window ({:?})",
+            "solo spends waited on a zero window ({:?})",
             t0.elapsed()
         );
         let stats = acc.ledger_stats();
         assert_eq!(stats.grants_appended, 3);
         assert_eq!(stats.append_batches, 3, "each solo spend is its own batch");
+
+        // A configured window means what it says, even for a solo spender.
+        acc.set_group_commit(Some(GroupCommitPolicy {
+            max_wait_us: 20_000,
+            max_batch: 64,
+        }));
+        let t0 = std::time::Instant::now();
+        spend(&acc, 4, "request/4", 0.1).unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(20),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
     fn group_commit_auto_checkpoints_once_per_batch() {
         let path = wal_path("group-ckpt.wal");
-        let (writer, recovery) = LedgerWriter::open(&path).unwrap();
-        let acc = SharedAccountant::recovered(Some(Epsilon::new(10.0).unwrap()), writer, &recovery);
+        let acc = durable(&path, 10.0);
         acc.set_checkpoint_every(Some(2));
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 100_000,

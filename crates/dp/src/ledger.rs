@@ -60,8 +60,7 @@
 //! deterministic and free).
 
 use dpx_runtime::faultpoint::{
-    LEDGER_CKPT_POST_RENAME, LEDGER_CKPT_PRE_RENAME, LEDGER_GROUP_POST_FSYNC,
-    LEDGER_GROUP_PRE_FSYNC, LEDGER_POST_FSYNC, LEDGER_PRE_FSYNC,
+    LEDGER_CKPT_POST_RENAME, LEDGER_CKPT_PRE_RENAME, LEDGER_POST_FSYNC, LEDGER_PRE_FSYNC,
 };
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -579,7 +578,7 @@ fn sync_parent_dir(path: &Path) {
 }
 
 /// An append handle on a ledger file. Every [`append`](LedgerWriter::append)
-/// writes one whole record and `fsync`s before returning — a grant that this
+/// writes whole records and `fsync`s before returning — a grant that this
 /// type reports as written survives the process.
 #[derive(Debug)]
 pub struct LedgerWriter {
@@ -636,23 +635,13 @@ impl LedgerWriter {
         ))
     }
 
-    /// Appends one grant record and syncs it to stable storage. On success
-    /// the grant is durable; on error nothing may be assumed and the caller
-    /// must not treat the spend as accepted.
-    pub fn append(&mut self, grant: &GrantRecord) -> Result<(), LedgerError> {
-        let record = encode_record(grant);
-        self.file.write_all(&record)?;
-        dpx_runtime::faultpoint::hit(LEDGER_PRE_FSYNC);
-        self.file.sync_data()?;
-        dpx_runtime::faultpoint::hit(LEDGER_POST_FSYNC);
-        Ok(())
-    }
-
-    /// Appends a batch of grant records under a single `fsync` — the bulk
-    /// path for rebuilding ledgers (benchmarks, migrations). The batch is
-    /// durable as a whole when this returns; a crash mid-call may leave any
-    /// prefix, which recovery handles like any torn tail.
-    pub fn append_all(&mut self, grants: &[GrantRecord]) -> Result<(), LedgerError> {
+    /// Appends a batch of grant records under a single `fsync`. On success
+    /// every grant in the batch is durable; on error nothing may be assumed
+    /// and the caller must not treat any of the spends as accepted. A crash
+    /// before the fsync may leave any prefix of the batch, which recovery
+    /// truncates like any torn tail; after it the whole batch is durable
+    /// even though no spender in it has been acked yet.
+    pub fn append(&mut self, grants: &[GrantRecord]) -> Result<(), LedgerError> {
         let mut bytes = Vec::new();
         for grant in grants {
             bytes.extend_from_slice(&encode_record(grant));
@@ -661,26 +650,6 @@ impl LedgerWriter {
         dpx_runtime::faultpoint::hit(LEDGER_PRE_FSYNC);
         self.file.sync_data()?;
         dpx_runtime::faultpoint::hit(LEDGER_POST_FSYNC);
-        Ok(())
-    }
-
-    /// Appends a **group-commit batch** under a single `fsync` — identical
-    /// bytes to [`LedgerWriter::append_all`], but instrumented with the
-    /// group-commit fault points (`ledger.group_pre_fsync` /
-    /// `ledger.group_post_fsync`) so the crash matrix can kill a serving
-    /// process exactly mid-batch. A crash before the fsync may leave any
-    /// prefix of the batch (recovery truncates a torn tail as usual); after
-    /// the fsync the whole batch is durable even though no spender in it has
-    /// been acked yet.
-    pub fn append_group(&mut self, grants: &[GrantRecord]) -> Result<(), LedgerError> {
-        let mut bytes = Vec::new();
-        for grant in grants {
-            bytes.extend_from_slice(&encode_record(grant));
-        }
-        self.file.write_all(&bytes)?;
-        dpx_runtime::faultpoint::hit(LEDGER_GROUP_PRE_FSYNC);
-        self.file.sync_data()?;
-        dpx_runtime::faultpoint::hit(LEDGER_GROUP_POST_FSYNC);
         Ok(())
     }
 
@@ -769,7 +738,7 @@ mod tests {
         let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert!(recovery.grants.is_empty());
         for g in sample_grants() {
-            writer.append(&g).unwrap();
+            writer.append(&[g]).unwrap();
         }
         drop(writer);
         let recovered = recover(&path).unwrap();
@@ -806,9 +775,7 @@ mod tests {
                 group: Some("cluster/1".to_string()),
             },
         ];
-        for g in &grants {
-            writer.append(g).unwrap();
-        }
+        writer.append(&grants).unwrap();
         drop(writer);
         let recovered = recover(&path).unwrap();
         assert_eq!(recovered.grants, grants);
@@ -821,12 +788,14 @@ mod tests {
         let path = tmp("ckpt.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
-            writer.append(&g).unwrap();
+            writer.append(&[g]).unwrap();
         }
         let ckpt = sample_checkpoint();
         writer.checkpoint(&ckpt).unwrap();
         // Appends continue after the checkpoint on the compacted file.
-        writer.append(&GrantRecord::for_request(4, 0.125)).unwrap();
+        writer
+            .append(&[GrantRecord::for_request(4, 0.125)])
+            .unwrap();
         drop(writer);
 
         let recovered = recover(&path).unwrap();
@@ -867,7 +836,7 @@ mod tests {
     fn stale_checkpoint_tmp_is_swept_on_open() {
         let path = tmp("stale-tmp.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.5)).unwrap();
+        writer.append(&[GrantRecord::for_request(1, 0.5)]).unwrap();
         drop(writer);
         // Simulate a kill after the tmp write but before the rename.
         let tmp_path = checkpoint_tmp_path(&path);
@@ -878,41 +847,23 @@ mod tests {
     }
 
     #[test]
-    fn append_all_is_one_batch() {
-        let path = tmp("batch.wal");
-        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append_all(&sample_grants()).unwrap();
-        drop(writer);
-        let recovered = recover(&path).unwrap();
-        assert_eq!(recovered.grants, sample_grants());
-    }
-
-    #[test]
-    fn append_group_is_bytewise_identical_to_append_all() {
-        let grouped = tmp("group.wal");
-        let bulk = tmp("bulk.wal");
-        let (mut gw, _) = LedgerWriter::open(&grouped).unwrap();
-        let (mut bw, _) = LedgerWriter::open(&bulk).unwrap();
-        let pre = dpx_runtime::faultpoint::hits(LEDGER_GROUP_PRE_FSYNC);
-        let post = dpx_runtime::faultpoint::hits(LEDGER_GROUP_POST_FSYNC);
-        gw.append_group(&sample_grants()).unwrap();
-        bw.append_all(&sample_grants()).unwrap();
-        assert_eq!(
-            dpx_runtime::faultpoint::hits(LEDGER_GROUP_PRE_FSYNC),
-            pre + 1
-        );
-        assert_eq!(
-            dpx_runtime::faultpoint::hits(LEDGER_GROUP_POST_FSYNC),
-            post + 1
-        );
-        drop(gw);
+    fn batch_append_is_bytewise_identical_to_single_appends() {
+        let batched = tmp("batch.wal");
+        let single = tmp("single.wal");
+        let (mut bw, _) = LedgerWriter::open(&batched).unwrap();
+        let (mut sw, _) = LedgerWriter::open(&single).unwrap();
+        bw.append(&sample_grants()).unwrap();
+        for g in sample_grants() {
+            sw.append(&[g]).unwrap();
+        }
         drop(bw);
+        drop(sw);
         assert_eq!(
-            std::fs::read(&grouped).unwrap(),
-            std::fs::read(&bulk).unwrap(),
-            "group commit changes instrumentation, never bytes"
+            std::fs::read(&batched).unwrap(),
+            std::fs::read(&single).unwrap(),
+            "batching changes the fsync count, never bytes"
         );
-        assert_eq!(recover(&grouped).unwrap().grants, sample_grants());
+        assert_eq!(recover(&batched).unwrap().grants, sample_grants());
     }
 
     #[test]
@@ -950,11 +901,11 @@ mod tests {
     fn reopen_appends_after_existing_records() {
         let path = tmp("reopen.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(1, 0.5)).unwrap();
+        writer.append(&[GrantRecord::for_request(1, 0.5)]).unwrap();
         drop(writer);
         let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert_eq!(recovery.grants.len(), 1);
-        writer.append(&GrantRecord::for_request(2, 0.25)).unwrap();
+        writer.append(&[GrantRecord::for_request(2, 0.25)]).unwrap();
         drop(writer);
         let recovered = recover(&path).unwrap();
         assert_eq!(recovered.grants.len(), 2);
@@ -974,7 +925,7 @@ mod tests {
         let path = tmp("torn.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
-            writer.append(&g).unwrap();
+            writer.append(&[g]).unwrap();
         }
         drop(writer);
         let full = std::fs::read(&path).unwrap();
@@ -986,7 +937,7 @@ mod tests {
 
         // Reopening physically truncates and appends cleanly after the cut.
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer.append(&GrantRecord::for_request(9, 0.1)).unwrap();
+        writer.append(&[GrantRecord::for_request(9, 0.1)]).unwrap();
         drop(writer);
         let healed = recover(&path).unwrap();
         assert_eq!(healed.truncated_bytes, 0);
@@ -999,7 +950,7 @@ mod tests {
         let path = tmp("bitflip.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
-            writer.append(&g).unwrap();
+            writer.append(&[g]).unwrap();
         }
         drop(writer);
         let mut bytes = std::fs::read(&path).unwrap();

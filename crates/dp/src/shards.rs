@@ -35,8 +35,8 @@ pub struct ShardConfig {
     /// never; ignored for in-memory shards, which have no WAL).
     pub checkpoint_every: Option<u64>,
     /// Group-commit window for the shard's grant spends (`None` — or a
-    /// policy with `max_batch <= 1` — keeps per-grant append+fsync; ignored
-    /// for in-memory shards, which have no fsync to amortize).
+    /// policy with `max_batch <= 1` — commits batches of one, one fsync per
+    /// grant; ignored for in-memory shards, which have no fsync to amortize).
     pub group_commit: Option<GroupCommitPolicy>,
 }
 
@@ -225,6 +225,7 @@ fn escape_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::NO_REQUEST;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -252,7 +253,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &a2), "reopen returns the same shard");
         assert_eq!(a2.cap(), Some(1.0), "config only applies on creation");
 
-        a.try_spend("x", eps(0.4)).unwrap();
+        a.try_spend_grant_cancellable(NO_REQUEST, "x", eps(0.4), None)
+            .unwrap();
         assert!((a.spent() - 0.4).abs() < 1e-12);
         assert_eq!(b.spent(), 0.0, "spends do not cross shards");
         assert_eq!(shards.names(), vec!["census", "diabetes"]);
@@ -270,8 +272,10 @@ mod tests {
             let b = shards
                 .open("so/2024", ShardConfig::capped(eps(1.0)))
                 .unwrap();
-            a.try_spend_grant(1, "request/1", eps(0.3)).unwrap();
-            b.try_spend_grant(2, "request/2", eps(0.5)).unwrap();
+            a.try_spend_grant_cancellable(1, "request/1", eps(0.3), None)
+                .unwrap();
+            b.try_spend_grant_cancellable(2, "request/2", eps(0.5), None)
+                .unwrap();
             assert_ne!(
                 shards.wal_path("census").unwrap(),
                 shards.wal_path("so/2024").unwrap()
@@ -309,7 +313,7 @@ mod tests {
             .unwrap();
         for id in 1..=5u64 {
             shard
-                .try_spend_grant(id, format!("request/{id}"), eps(0.1))
+                .try_spend_grant_cancellable(id, format!("request/{id}"), eps(0.1), None)
                 .unwrap();
         }
         let stats = shards.stats();

@@ -89,9 +89,7 @@ fn write_grants(path: &PathBuf, grants: &[GrantRecord]) {
     let _ = std::fs::remove_file(path);
     let (mut writer, recovery) = LedgerWriter::open(path).unwrap();
     assert!(recovery.grants.is_empty());
-    for g in grants {
-        writer.append(g).unwrap();
-    }
+    writer.append(grants).unwrap();
 }
 
 #[test]
@@ -124,7 +122,7 @@ fn random_sequences_survive_reopen_append_cycles() {
             assert_eq!(recovery.grants, all, "case {case}: reopen sees history");
             for _ in 0..rng.below(5) {
                 let g = rng.grant();
-                writer.append(&g).unwrap();
+                writer.append(std::slice::from_ref(&g)).unwrap();
                 all.push(g);
             }
         }
@@ -161,7 +159,7 @@ fn truncation_at_every_tail_byte_recovers_the_prefix() {
 
         // Reopening after the cut truncates and accepts a fresh append.
         let (mut writer, _) = LedgerWriter::open(&torn_path).unwrap();
-        writer.append(&grants[3]).unwrap();
+        writer.append(&grants[3..]).unwrap();
         assert_eq!(recover(&torn_path).unwrap().grants, grants, "cut {cut}");
     }
 }

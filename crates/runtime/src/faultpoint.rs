@@ -25,11 +25,13 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Fault point: a ledger record has been written but not yet fsynced. A kill
-/// here may leave a torn tail that recovery must truncate.
+/// Fault point: a batch of ledger records has been written but not yet
+/// fsynced. A kill here may tear the batch mid-record; recovery must
+/// truncate the tail and count only the durable prefix.
 pub const LEDGER_PRE_FSYNC: &str = "ledger.pre_fsync";
-/// Fault point: a ledger record is durable but the in-memory accountant has
-/// not yet observed it. Recovery must still count the grant.
+/// Fault point: a batch of ledger records is durable but no spender in it
+/// has been acked or charged in memory. Recovery must count every grant in
+/// the batch; none of their responses may have been flushed.
 pub const LEDGER_POST_FSYNC: &str = "ledger.post_fsync";
 /// Fault point: a request has been admitted but its ε not yet reserved.
 pub const SERVICE_PRE_SPEND: &str = "service.pre_spend";
@@ -43,14 +45,6 @@ pub const SERVICE_POST_RESPOND: &str = "service.post_respond";
 /// appended the grant to its WAL. A kill here must lose the request, never
 /// the budget invariant.
 pub const SHARD_PRE_APPEND: &str = "shard.pre_append";
-/// Fault point: a group-commit batch of ledger records has been written but
-/// not yet fsynced. A kill here may tear the batch mid-record; recovery must
-/// truncate the tail and count only the durable prefix.
-pub const LEDGER_GROUP_PRE_FSYNC: &str = "ledger.group_pre_fsync";
-/// Fault point: a group-commit batch is durable but no spender in the batch
-/// has been acked or charged in memory. Recovery must count every grant in
-/// the batch; none of their responses may have been flushed.
-pub const LEDGER_GROUP_POST_FSYNC: &str = "ledger.group_post_fsync";
 /// Fault point: a checkpoint's compacted replacement file is written and
 /// synced, but the atomic rename over the live WAL has not happened. A kill
 /// here must leave the full-history WAL intact (plus a stale tmp to sweep).

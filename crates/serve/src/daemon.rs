@@ -106,8 +106,6 @@ pub struct DaemonConfig {
     /// Request ids holding durable grants from a recovered ledger (resume):
     /// execution skips their spend exactly like `BatchOptions::granted`.
     pub granted: HashSet<u64>,
-    /// Auto-checkpoint each shard's WAL after this many grants.
-    pub checkpoint_every: Option<u64>,
     /// Latency-ring window of the metrics registry.
     pub metrics_window: usize,
     /// Periodically overwrite this file with the deterministic stats
@@ -125,7 +123,6 @@ impl Default for DaemonConfig {
             drain_deadline_ms: 10_000,
             deadline_ms: None,
             granted: HashSet::new(),
-            checkpoint_every: None,
             metrics_window: 512,
             metrics_out: None,
             metrics_every: 64,
@@ -217,17 +214,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// A daemon serving `registry` under `config`. Applies
-    /// `checkpoint_every` to every shard registered so far.
+    /// A daemon serving `registry` under `config`. Each shard's ledger
+    /// policy is the one it was opened with (see [`crate::ShardConfig`]).
     pub fn new(registry: Arc<DatasetRegistry>, config: DaemonConfig) -> Arc<Self> {
-        if let Some(every) = config.checkpoint_every {
-            let shards = registry.shards();
-            for name in shards.names() {
-                if let Some(accountant) = shards.get(&name) {
-                    accountant.set_checkpoint_every(Some(every));
-                }
-            }
-        }
         let workers = config.workers.max(1);
         let metrics = Arc::new(MetricsRegistry::new(config.metrics_window));
         let tap = Arc::clone(&metrics);
@@ -236,7 +225,6 @@ impl Daemon {
             .with_options(BatchOptions {
                 deadline_ms: config.deadline_ms,
                 granted: config.granted.clone(),
-                checkpoint_every: config.checkpoint_every,
             })
             .with_stage_tap(Arc::new(move |event: &StageEvent| tap.observe_stage(event)));
         Arc::new(Daemon {
@@ -265,11 +253,6 @@ impl Daemon {
     /// Whether admission is closed.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
-    }
-
-    /// Sets a tenant's weighted-round-robin dequeue weight.
-    pub fn set_tenant_weight(&self, tenant: &str, weight: usize) {
-        self.queue.set_weight(tenant, weight);
     }
 
     /// Spawns the worker pool. Threads exit once the queue is closed and

@@ -29,18 +29,19 @@
 //!
 //! Crash safety rides on the DP crate's sharded write-ahead ledgers: a
 //! durable registry ([`DatasetRegistry::with_shards`]) gives every dataset
-//! its own accountant shard with its own WAL file, each grant fsynced
-//! before `try_spend` reports success and each shard recovered
-//! independently on restart. [`BatchOptions::granted`] lets a restarted
-//! batch skip re-spending for recovered request ids,
-//! [`BatchOptions::checkpoint_every`] bounds replay by compacting each
-//! shard's WAL to a checkpoint record, and
-//! [`ExplainService::run_batch`] streams each response to an optional sink
-//! as it is produced so a crash loses at most the in-flight lines. Under
-//! contention the ledger **group-commits**: concurrent spenders' grants are
-//! appended and fsynced as one batch by a leader thread (see
-//! [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)), every spend still
-//! acking only after *its own* record is durable. Requests are
+//! its own accountant shard with its own WAL file and its own ledger policy
+//! — cap, checkpoint cadence and group-commit window, set once in the
+//! [`ShardConfig`] the shard is opened with. Each grant is fsynced before
+//! the spend reports success, and each shard recovers independently on
+//! restart. [`BatchOptions::granted`] lets a restarted batch skip
+//! re-spending for recovered request ids, and [`ExplainService::run_batch`]
+//! streams each response to an optional sink as it is produced so a crash
+//! loses at most the in-flight lines. Every durable spend commits through
+//! the ledger's one **group-commit** path: queued spenders' grants are
+//! appended and fsynced as one batch by a leader thread, up to the
+//! [`GroupCommitPolicy`](dpx_dp::GroupCommitPolicy)'s `max_batch` (a batch
+//! of one without a policy), every spend still acking only after *its own*
+//! record is durable. Requests are
 //! deadline-bounded cooperatively: a [`CancelToken`](dpx_runtime::CancelToken)
 //! minted before the spend bounds time queued in the commit window, time
 //! blocked on another request's in-flight counts build, and the engine's
@@ -57,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod abuse;
 pub mod daemon;
 pub mod json;
 pub mod metrics;
@@ -65,10 +65,6 @@ pub mod registry;
 pub mod request;
 pub mod service;
 
-pub use abuse::{
-    AbuseReport, BatteryOutcome, DeadlineStormConfig, InterferenceConfig, OverloadStormConfig,
-    ReplayFloodConfig, StormConfig,
-};
 pub use daemon::{
     serve_lines, serve_socket, Daemon, DaemonConfig, DaemonReply, DrainSummary, LineOutcome,
     ReplySink,
@@ -84,6 +80,6 @@ pub use request::{
     StageSummary, WireReject,
 };
 pub use service::{
-    parse_requests, parse_requests_lenient, reason, reject_response, write_responses, BatchOptions,
-    ExplainService, ServeError, StageTap,
+    parse_requests_lenient, reason, reject_response, BatchOptions, ExplainService, ServeError,
+    StageTap,
 };

@@ -6,7 +6,7 @@
 //! * the dataset itself behind an `Arc` (requests never copy the data);
 //! * one [`SharedCountsCache`], so requests over the same clustering reuse
 //!   each other's one-pass count tables;
-//! * one [`SharedAccountant`], whose `try_spend` is a single atomic
+//! * one [`SharedAccountant`], whose spend is a single atomic
 //!   check-and-record — the per-dataset privacy cap holds under any
 //!   interleaving of worker threads.
 //!
@@ -411,6 +411,7 @@ impl DatasetRegistry {
 mod tests {
     use super::*;
     use dpx_data::synth::diabetes;
+    use dpx_dp::ledger::NO_REQUEST;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -440,7 +441,7 @@ mod tests {
         let first = registry.register("d", dataset(), Some(Epsilon::new(0.5).unwrap()));
         first
             .accountant()
-            .try_spend("warmup", Epsilon::new(0.4).unwrap())
+            .try_spend_grant_cancellable(NO_REQUEST, "warmup", Epsilon::new(0.4).unwrap(), None)
             .unwrap();
         let second = registry.register("d", dataset(), Some(Epsilon::new(0.5).unwrap()));
         assert!(!Arc::ptr_eq(&first, &second));
@@ -459,7 +460,7 @@ mod tests {
             let entry = registry.register_sharded("d", dataset(), config).unwrap();
             entry
                 .accountant()
-                .try_spend_grant(7, "request/7", Epsilon::new(0.25).unwrap())
+                .try_spend_grant_cancellable(7, "request/7", Epsilon::new(0.25).unwrap(), None)
                 .unwrap();
         }
         // A fresh registry over the same directory recovers the shard:
@@ -591,7 +592,7 @@ mod tests {
         let entry = DatasetEntry::new("open", dataset(), None);
         entry
             .accountant()
-            .try_spend("big", Epsilon::new(1e6).unwrap())
+            .try_spend_grant_cancellable(NO_REQUEST, "big", Epsilon::new(1e6).unwrap(), None)
             .unwrap();
         assert_eq!(entry.accountant().num_charges(), 1);
     }

@@ -10,7 +10,7 @@
 //! to its own error response; the pool keeps draining the queue.
 //!
 //! Privacy ordering: a request's **entire** ε is reserved on the dataset's
-//! [`SharedAccountant`](dpx_dp::SharedAccountant) in one atomic `try_spend`
+//! [`SharedAccountant`](dpx_dp::SharedAccountant) in one atomic spend
 //! *before* any mechanism runs. There is no check-then-spend window for two
 //! workers to race through, so the per-dataset cap holds under any
 //! interleaving. The reservation is deliberately not refunded if the pipeline
@@ -30,24 +30,17 @@ use dpx_runtime::faultpoint::{self, SERVICE_POST_SPEND, SERVICE_PRE_SPEND};
 use dpx_runtime::{default_threads, ordered_parallel_map_catch, CancelToken};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A service-level failure: I/O on the request/response streams, or a
-/// request line that is not valid JSON. (Per-request execution failures are
-/// *data*, not errors — they become `"ok": false` response lines.)
+/// A service-level failure: I/O on the request/response streams. (Hostile
+/// request lines and per-request execution failures are *data*, not errors —
+/// they become typed rejects and `"ok": false` response lines.)
 #[derive(Debug)]
 pub enum ServeError {
     /// Reading requests or writing responses failed.
     Io(std::io::Error),
-    /// A request line failed to decode; `line` is 1-based.
-    BadRequest {
-        /// 1-based line number in the request stream.
-        line: usize,
-        /// What was wrong with it.
-        message: String,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -57,9 +50,6 @@ impl fmt::Display for ServeError {
             // keep `NotFound` vs `PermissionDenied` (etc.) distinguishable in
             // logs even after the error is flattened to a string.
             ServeError::Io(e) => write!(f, "io error ({:?}): {e}", e.kind()),
-            ServeError::BadRequest { line, message } => {
-                write!(f, "bad request on line {line}: {message}")
-            }
         }
     }
 }
@@ -72,45 +62,13 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Reads a JSONL request stream (blank lines and `#` comment lines are
-/// skipped), failing on the first undecodable line. Request ids must be
-/// unique within the batch: ids key the sorted response stream and the
-/// durable ledger's resume-by-id logic, so a duplicate is rejected here at
-/// the wire boundary rather than yielding two same-id responses.
-pub fn parse_requests<R: BufRead>(reader: R) -> Result<Vec<ExplainRequest>, ServeError> {
-    let mut requests = Vec::new();
-    let mut seen: HashMap<u64, usize> = HashMap::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let req =
-            ExplainRequest::from_json_line(trimmed).map_err(|message| ServeError::BadRequest {
-                line: i + 1,
-                message,
-            })?;
-        if let Some(first) = seen.insert(req.id, i + 1) {
-            return Err(ServeError::BadRequest {
-                line: i + 1,
-                message: format!(
-                    "duplicate request id {} (first used on line {first})",
-                    req.id
-                ),
-            });
-        }
-        requests.push(req);
-    }
-    Ok(requests)
-}
-
 /// Reads a JSONL request stream **leniently**: hostile lines reject
 /// individually instead of failing the batch, and the read is byte-level so
 /// even a line that is not valid UTF-8 becomes a typed [`WireReject`]
 /// (`reader.lines()` would abort the whole stream with an `io::Error`
-/// there). Blank lines and `#` comments are skipped as in
-/// [`parse_requests`]; real I/O failures still abort.
+/// there). Blank lines and `#` comments are skipped; real I/O failures
+/// still abort. Request ids must be unique within the stream: ids key the
+/// sorted response stream and the durable ledger's resume-by-id logic.
 ///
 /// Classification per line, in order:
 /// * invalid UTF-8, malformed JSON, or ill-typed fields → reject with class
@@ -206,25 +164,6 @@ pub fn reject_response(reject: &WireReject, registry: &DatasetRegistry) -> Optio
     Some(response)
 }
 
-/// Writes responses as JSONL, sorted by request id (ties keep batch order).
-/// One serialization buffer is reused across the whole stream — after the
-/// first line it amortizes to the largest response and rendering allocates
-/// nothing per line.
-pub fn write_responses<W: Write>(
-    responses: &[ExplainResponse],
-    writer: &mut W,
-) -> Result<(), ServeError> {
-    let mut sorted: Vec<&ExplainResponse> = responses.iter().collect();
-    sorted.sort_by_key(|r| r.id);
-    let mut line = String::new();
-    for response in sorted {
-        response.render_json_line_into(&mut line);
-        line.push('\n');
-        writer.write_all(line.as_bytes())?;
-    }
-    Ok(())
-}
-
 /// Machine-readable failure classes attached to error responses.
 pub mod reason {
     /// The request's deadline expired at a stage boundary.
@@ -254,11 +193,6 @@ pub struct BatchOptions {
     /// execution proceeds — the pipeline is deterministic, so re-running a
     /// granted request reproduces the crashed run's exact response.
     pub granted: HashSet<u64>,
-    /// Auto-checkpoint each served dataset's WAL after this many grants
-    /// (`None`: leave the datasets' existing policies untouched). Applied to
-    /// every dataset the batch references before any request runs; a no-op
-    /// for accountants without a durable ledger.
-    pub checkpoint_every: Option<u64>,
 }
 
 /// A typed per-request failure: the human-readable message plus the optional
@@ -526,8 +460,7 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
     }
 
     /// Serves a whole batch on the worker pool. Responses come back in
-    /// request order; sort or [`write_responses`] by id for a canonical
-    /// stream. A request that panics mid-pipeline (e.g. a faulty mechanism)
+    /// request order; sort them by id for a canonical stream. A request that panics mid-pipeline (e.g. a faulty mechanism)
     /// yields an error response carrying the panic message; every other
     /// request is served normally.
     ///
@@ -552,19 +485,6 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
         requests: Vec<ExplainRequest>,
         sink: Option<&(dyn Fn(&ExplainResponse) + Sync)>,
     ) -> Vec<ExplainResponse> {
-        if let Some(every) = self.opts.checkpoint_every {
-            // Install the policy once per referenced dataset, before any
-            // worker spends: the compactions then happen inside the spends'
-            // own critical sections.
-            let mut seen = HashSet::new();
-            for request in &requests {
-                if seen.insert(request.dataset.clone()) {
-                    if let Some(entry) = self.registry.get(&request.dataset) {
-                        entry.accountant().set_checkpoint_every(Some(every));
-                    }
-                }
-            }
-        }
         let mut responses = Vec::with_capacity(requests.len());
         let mut segment: Vec<ExplainRequest> = Vec::new();
         for request in requests {
@@ -705,31 +625,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_requests_skips_blanks_and_flags_bad_lines() {
-        let text = "\n# comment\n{\"id\": 1}\n{\"id\": 2, \"seed\": 5}\n";
-        let requests = parse_requests(text.as_bytes()).unwrap();
+    fn parse_skips_blanks_and_flags_bad_lines() {
+        let text = "\n# comment\n{\"id\": 1}\n{\"id\": 2, \"seed\": 5}\nnot json\n";
+        let (requests, rejects) = parse_requests_lenient(text.as_bytes()).unwrap();
         assert_eq!(requests.len(), 2);
         assert_eq!(requests[1].seed, 5);
-
-        let err = parse_requests("{\"id\": 1}\nnot json\n".as_bytes()).unwrap_err();
-        match err {
-            ServeError::BadRequest { line, .. } => assert_eq!(line, 2),
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
+        assert_eq!(rejects.len(), 1);
+        assert_eq!(rejects[0].line, 5);
     }
 
     #[test]
-    fn parse_requests_rejects_duplicate_ids() {
-        let err =
-            parse_requests("{\"id\": 1}\n\n{\"id\": 2}\n{\"id\": 1}\n".as_bytes()).unwrap_err();
-        match err {
-            ServeError::BadRequest { line, message } => {
-                assert_eq!(line, 4);
-                assert!(message.contains("duplicate request id 1"), "{message}");
-                assert!(message.contains("line 1"), "{message}");
-            }
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
+    fn parse_rejects_duplicate_ids() {
+        let text = "{\"id\": 1}\n\n{\"id\": 2}\n{\"id\": 1}\n";
+        let (requests, rejects) = parse_requests_lenient(text.as_bytes()).unwrap();
+        assert_eq!(requests.len(), 2);
+        assert_eq!(rejects[0].line, 4);
+        let message = &rejects[0].message;
+        assert!(message.contains("duplicate request id 1"), "{message}");
+        assert!(message.contains("line 1"), "{message}");
     }
 
     #[test]
@@ -817,19 +730,6 @@ mod tests {
         sunk.sort_unstable();
         assert_eq!(sunk, (0..5).collect::<Vec<u64>>());
         assert_eq!(responses.len(), 5);
-    }
-
-    #[test]
-    fn write_responses_sorts_by_id() {
-        let responses = vec![
-            ExplainResponse::error(5, "late"),
-            ExplainResponse::error(1, "early"),
-        ];
-        let mut out = Vec::new();
-        write_responses(&responses, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let first = text.lines().next().unwrap();
-        assert!(first.contains("\"id\":1"), "got {first}");
     }
 
     #[test]

@@ -130,6 +130,88 @@ fn overload_rejects_do_not_consume_the_request_id() {
         .filter(|line| line.contains(r#""ok":true"#))
         .count();
     assert_eq!(served, 1);
+
+    // The contract holds under contention: more retrying submitters than
+    // queue slots are all eventually served, each exactly once.
+    every_retrying_submitter_is_eventually_served();
+}
+
+/// Eight submitters, two requests each, race a one-slot lane. Workers start
+/// only once every submitter but the queued one has been shed, so the queue
+/// bound provably bites; clients that honor `retry_after_ms` then converge,
+/// each id is served exactly once, and ε is spent for exactly the served
+/// requests.
+fn every_retrying_submitter_is_eventually_served() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Condvar;
+    use std::time::Duration;
+
+    const SUBMITTERS: u64 = 8;
+    const PER_SUBMITTER: u64 = 2;
+    let registry = registry_with("d", 10.0);
+    let daemon = Daemon::new(
+        Arc::clone(&registry),
+        DaemonConfig {
+            workers: 2,
+            queue_capacity: 1,
+            ..Default::default()
+        },
+    );
+    let sheds = AtomicU64::new(0);
+    let served = Mutex::new(Vec::new());
+    let submit = |id: u64| -> (bool, Option<u64>) {
+        type Slot = (Mutex<Option<(bool, Option<u64>)>>, Condvar);
+        let slot: Arc<Slot> = Arc::new((Mutex::new(None), Condvar::new()));
+        let sink: ReplySink = {
+            let slot = Arc::clone(&slot);
+            Arc::new(move |reply: DaemonReply<'_>| {
+                if let DaemonReply::Response(response) = reply {
+                    *slot.0.lock().unwrap_or_else(PoisonError::into_inner) =
+                        Some((response.is_ok(), response.retry_after_ms));
+                    slot.1.notify_all();
+                }
+            })
+        };
+        daemon.handle_request(request(id, "d"), &sink);
+        let mut reply = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
+        while reply.is_none() {
+            reply = slot.1.wait(reply).unwrap_or_else(PoisonError::into_inner);
+        }
+        reply.take().expect("reply recorded before wake")
+    };
+    let workers = std::thread::scope(|scope| {
+        for s in 0..SUBMITTERS {
+            let (submit, sheds, served) = (&submit, &sheds, &served);
+            scope.spawn(move || {
+                for id in (0..PER_SUBMITTER).map(|r| 100 + s * PER_SUBMITTER + r) {
+                    loop {
+                        let (ok, retry_after_ms) = submit(id);
+                        if ok {
+                            served.lock().unwrap().push(id);
+                            break;
+                        }
+                        let hint = retry_after_ms.expect("a shed reply carries a retry hint");
+                        sheds.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(hint.min(5)));
+                    }
+                }
+            });
+        }
+        while sheds.load(Ordering::SeqCst) < SUBMITTERS - 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        daemon.start()
+    });
+    let summary = daemon.drain_and_join(workers);
+    let total = SUBMITTERS * PER_SUBMITTER;
+    let mut served = served.into_inner().unwrap();
+    served.sort_unstable();
+    assert_eq!(served, (100..100 + total).collect::<Vec<u64>>());
+    assert_eq!(summary.served, total);
+    assert!(sheds.load(Ordering::SeqCst) >= SUBMITTERS - 1);
+    assert!(summary.clean(), "{summary:?}");
+    let spent = registry.get("d").expect("registered").accountant().spent();
+    assert!((spent - 0.3 * total as f64).abs() < 1e-9, "spent {spent}");
 }
 
 #[test]

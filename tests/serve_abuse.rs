@@ -3,18 +3,18 @@
 //!
 //! Every battery's traffic shape is a pure function of its seed, and every
 //! violation message embeds that seed — a red run here prints everything
-//! needed to reproduce it (`dpx_serve::abuse` module docs). The chaos
+//! needed to reproduce it (`dpx_bench::abuse` module docs). The chaos
 //! half of the battery (killing the process at ledger fault points while a
 //! storm is in flight) lives in `crates/cli/tests/crash_matrix.rs`,
 //! because fault points abort the whole process.
 
-use dpx_dp::budget::Epsilon;
-use dpx_dp::SharedAccountant;
-use dpx_serve::abuse::{
+use dpx_bench::abuse::{
     budget_storm, deadline_storm, gate_storm, interference, replay_flood, run_all,
     shrink_gate_storm, DeadlineStormConfig, InterferenceConfig, NaiveGate, ReplayFloodConfig,
     StormConfig,
 };
+use dpx_dp::budget::Epsilon;
+use dpx_dp::SharedAccountant;
 
 /// The full battery sweep must hold every invariant, on more than one
 /// traffic shape. A failure prints the seed that reproduces it.

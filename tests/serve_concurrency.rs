@@ -1,7 +1,8 @@
 //! Budget-race stress battery: many threads hammer one accountant with
 //! mixed-size requests against a hard ε cap.
 //!
-//! The point of [`SharedAccountant::try_spend`] is that check-and-record is
+//! The point of [`SharedAccountant::try_spend_grant_cancellable`] is that
+//! check-and-record is
 //! ONE atomic operation. To show the test has teeth, the same adversarial
 //! harness first drives a deliberately naive check-*then*-spend gate — the
 //! TOCTOU implementation a straightforward port of the single-threaded
@@ -11,6 +12,7 @@
 //! exceed the cap, while recording every accepted spend exactly.
 
 use dpx_dp::budget::{Accountant, Epsilon};
+use dpx_dp::ledger::NO_REQUEST;
 use dpx_dp::SharedAccountant;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
@@ -22,7 +24,7 @@ const CAP_TOL: f64 = 1e-9;
 /// The deliberately broken gate: `check` and `spend` are separate critical
 /// sections, so between a passing check and its spend another thread can
 /// spend the same headroom. This is exactly the bug `SharedAccountant`'s
-/// single-lock `try_spend` closes.
+/// single-lock spend closes.
 struct NaiveCheckThenSpend {
     ledger: Mutex<Vec<f64>>,
     cap: f64,
@@ -88,7 +90,7 @@ fn naive_check_then_spend_overspends_under_contention() {
 #[test]
 fn shared_accountant_never_overspends_under_the_same_race() {
     // The exact harness that breaks the naive gate: aligned threads, one
-    // 0.3 request each, cap 1.0. With atomic try_spend at most ⌊1.0/0.3⌋
+    // 0.3 request each, cap 1.0. With an atomic spend at most ⌊1.0/0.3⌋
     // requests can ever be accepted, whatever the interleaving.
     let threads = 8;
     let accountant = SharedAccountant::with_cap(Epsilon::new(1.0).unwrap());
@@ -102,7 +104,12 @@ fn shared_accountant_never_overspends_under_the_same_race() {
             scope.spawn(move || {
                 aligned.wait();
                 if accountant
-                    .try_spend(format!("race/{t}"), Epsilon::new(0.3).unwrap())
+                    .try_spend_grant_cancellable(
+                        NO_REQUEST,
+                        format!("race/{t}"),
+                        Epsilon::new(0.3).unwrap(),
+                        None,
+                    )
                     .is_ok()
                 {
                     accepted.fetch_add(1, Ordering::SeqCst);
@@ -136,7 +143,12 @@ fn hammer(threads: usize, attempts: usize, cap: f64, accountant: &SharedAccounta
                 for a in 0..attempts {
                     let eps = sizes[(t + a) % sizes.len()];
                     if accountant
-                        .try_spend(format!("t{t}/a{a}"), Epsilon::new(eps).unwrap())
+                        .try_spend_grant_cancellable(
+                            NO_REQUEST,
+                            format!("t{t}/a{a}"),
+                            Epsilon::new(eps).unwrap(),
+                            None,
+                        )
                         .is_ok()
                     {
                         mine += eps;
@@ -169,7 +181,7 @@ fn stress_total_spend_never_exceeds_cap_and_every_grant_is_recorded() {
             accountant.spent()
         );
         // Invariant 2: everything the workers were granted is in the ledger
-        // — an accepted try_spend is fully recorded, never lost.
+        // — an accepted spend is fully recorded, never lost.
         assert!(
             (accountant.spent() - granted).abs() < 1e-9,
             "threads={threads}: ledger {} != granted {granted}",
@@ -211,7 +223,7 @@ fn stress_rejections_record_nothing() {
 #[test]
 fn remaining_is_monotone_and_untorn_while_spenders_race_across_shards() {
     // Satellite invariant for the sharded accountant map: concurrent
-    // `remaining()`/`cap()` reads race `try_spend_grant` writers on several
+    // `remaining()`/`cap()` reads race grant writers on several
     // shards at once, and every observation must be (a) monotone
     // non-increasing per dataset and (b) un-torn — an exact multiple of the
     // single grant size, never a half-applied update. ε = 1/128 keeps every
@@ -244,7 +256,12 @@ fn remaining_is_monotone_and_untorn_while_spenders_race_across_shards() {
                     for i in 0..GRANTS_PER_THREAD {
                         let id = (s * 2 + t) as u64 * 1000 + i as u64;
                         accountant
-                            .try_spend_grant(id, "race", Epsilon::new(EPS).unwrap())
+                            .try_spend_grant_cancellable(
+                                id,
+                                "race",
+                                Epsilon::new(EPS).unwrap(),
+                                None,
+                            )
                             .expect("within cap");
                         if i % 8 == 0 {
                             std::thread::yield_now();
@@ -341,7 +358,7 @@ fn remaining_stays_monotone_while_replay_floods_race_fresh_spends_across_shards(
     for accountant in &accountants {
         for id in 1..=VICTIMS {
             accountant
-                .try_spend_grant(id, "victim", Epsilon::new(EPS).unwrap())
+                .try_spend_grant_cancellable(id, "victim", Epsilon::new(EPS).unwrap(), None)
                 .expect("within cap");
         }
     }
@@ -360,7 +377,12 @@ fn remaining_stays_monotone_while_replay_floods_race_fresh_spends_across_shards(
                     for i in 0..FRESH_PER_THREAD {
                         let id = 10_000 + (s * 2 + t) as u64 * 1000 + i as u64;
                         accountant
-                            .try_spend_grant(id, "fresh", Epsilon::new(EPS).unwrap())
+                            .try_spend_grant_cancellable(
+                                id,
+                                "fresh",
+                                Epsilon::new(EPS).unwrap(),
+                                None,
+                            )
                             .expect("within cap");
                         if i % 8 == 0 {
                             std::thread::yield_now();
@@ -481,7 +503,12 @@ fn concurrent_first_opens_of_one_shard_converge_on_a_single_recovered_accountant
                     // Every racer charges through its own handle; the grants
                     // land on one shard iff the handles are one shard.
                     contested
-                        .try_spend_grant(r as u64, "open-race", Epsilon::new(1.0 / 32.0).unwrap())
+                        .try_spend_grant_cancellable(
+                            r as u64,
+                            "open-race",
+                            Epsilon::new(1.0 / 32.0).unwrap(),
+                            None,
+                        )
                         .expect("within cap");
                     (contested, private)
                 })

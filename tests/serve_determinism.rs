@@ -1,13 +1,18 @@
 //! Determinism-under-concurrency battery: a fixed JSONL batch with
 //! per-request seeds must serve to bit-identical response streams at worker
-//! counts 1, 2, and 7 — including when requests share the counts cache, and
-//! including the rendered JSONL bytes, not just the parsed values.
+//! counts 1, 2, and 7 — including when requests share the counts cache, on
+//! a durable ledger at every group-commit cadence, and including the
+//! rendered JSONL bytes, not just the parsed values.
 
 use dpx_data::csv::write_csv;
 use dpx_data::schema_io::write_schema;
 use dpx_data::synth;
 use dpx_dp::budget::Epsilon;
-use dpx_serve::{parse_requests, write_responses, DatasetRegistry, ExplainRequest, ExplainService};
+use dpx_dp::GroupCommitPolicy;
+use dpx_serve::{
+    parse_requests_lenient, AccountantShards, DatasetRegistry, ExplainRequest, ExplainResponse,
+    ExplainService, ShardConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -27,21 +32,58 @@ const BATCH: &str = r#"
 {"id": 2,  "seed": 108, "cluster_by": 2, "n_clusters": 2, "consistency": true}
 "#;
 
-fn registry() -> Arc<DatasetRegistry> {
+/// A generous cap: every valid request fits, so acceptance never depends on
+/// completion order (the ordering caveat near a tight cap is documented in
+/// DESIGN.md and exercised by the CLI cap test).
+const CAP: f64 = 100.0;
+
+fn data() -> Arc<dpx_data::Dataset> {
     let mut rng = StdRng::seed_from_u64(2026);
-    let data = Arc::new(synth::diabetes::spec(3).generate(1_200, &mut rng).data);
+    Arc::new(synth::diabetes::spec(3).generate(1_200, &mut rng).data)
+}
+
+fn registry() -> Arc<DatasetRegistry> {
     let registry = Arc::new(DatasetRegistry::new());
-    // A generous cap: every valid request fits, so acceptance never depends
-    // on completion order (the ordering caveat near a tight cap is
-    // documented in DESIGN.md and exercised by the CLI cap test).
-    registry.register("default", data, Some(Epsilon::new(100.0).unwrap()));
+    registry.register("default", data(), Some(Epsilon::new(CAP).unwrap()));
     registry
 }
 
-fn serve_sorted_bytes(workers: usize) -> Vec<u8> {
-    let registry = registry();
+/// A registry over a fresh durable shard committing grants under `policy`.
+fn durable_registry(tag: &str, group_commit: Option<GroupCommitPolicy>) -> Arc<DatasetRegistry> {
+    let dir = std::env::temp_dir().join(format!("dpx-serve-det-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shards = AccountantShards::in_dir(&dir).expect("shard dir opens");
+    let registry = Arc::new(DatasetRegistry::with_shards(Arc::new(shards)));
+    let config = ShardConfig {
+        cap: Some(Epsilon::new(CAP).unwrap()),
+        checkpoint_every: None,
+        group_commit,
+    };
+    registry
+        .register_sharded("default", data(), config)
+        .expect("fresh shard opens");
+    registry
+}
+
+fn parse(text: &str) -> Vec<ExplainRequest> {
+    let (requests, rejects) = parse_requests_lenient(text.as_bytes()).expect("in-memory read");
+    assert!(rejects.is_empty(), "{rejects:?}");
+    requests
+}
+
+/// The responses as JSONL sorted by id, the canonical stream.
+fn sorted_bytes(responses: &[ExplainResponse]) -> Vec<u8> {
+    let mut sorted: Vec<&ExplainResponse> = responses.iter().collect();
+    sorted.sort_by_key(|r| r.id);
+    sorted
+        .iter()
+        .flat_map(|r| format!("{}\n", r.to_json_line()).into_bytes())
+        .collect()
+}
+
+fn serve_sorted_bytes(registry: Arc<DatasetRegistry>, workers: usize) -> Vec<u8> {
     let service = ExplainService::new(Arc::clone(&registry)).with_workers(workers);
-    let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
+    let requests = parse(BATCH);
     assert_eq!(requests.len(), 8);
     let responses = service.run_batch(requests, None);
     // The shared cache memoized each distinct (cluster_by, n_clusters)
@@ -49,14 +91,12 @@ fn serve_sorted_bytes(workers: usize) -> Vec<u8> {
     // that fails only at the release stage — not once per request.
     let entry = registry.get("default").expect("registered");
     assert_eq!(entry.cache().len(), 4, "workers={workers}");
-    let mut bytes = Vec::new();
-    write_responses(&responses, &mut bytes).expect("in-memory write");
-    bytes
+    sorted_bytes(&responses)
 }
 
 #[test]
 fn sorted_responses_are_bit_identical_across_worker_counts() {
-    let reference = serve_sorted_bytes(1);
+    let reference = serve_sorted_bytes(registry(), 1);
     let text = String::from_utf8(reference.clone()).unwrap();
     assert_eq!(text.lines().count(), 8);
     // Sorted by id, successes and failures interleaved where they fall.
@@ -78,12 +118,35 @@ fn sorted_responses_are_bit_identical_across_worker_counts() {
     assert!(!text.contains("cache_hit"), "cache_hit is order-dependent");
     assert!(!text.contains("wall"), "wall time is nondeterministic");
 
-    for workers in [2, 7] {
-        assert_eq!(
-            serve_sorted_bytes(workers),
-            reference,
-            "workers=1 vs workers={workers} diverged"
-        );
+    // Every commit cadence a durable shard can run: batches of one, batches
+    // formed only behind an in-flight fsync, and a held-open window.
+    let cadences = [
+        None,
+        Some(GroupCommitPolicy {
+            max_wait_us: 0,
+            max_batch: 64,
+        }),
+        Some(GroupCommitPolicy {
+            max_wait_us: 2_000,
+            max_batch: 64,
+        }),
+    ];
+    for workers in [1, 2, 7] {
+        if workers > 1 {
+            assert_eq!(
+                serve_sorted_bytes(registry(), workers),
+                reference,
+                "workers=1 vs workers={workers} diverged"
+            );
+        }
+        for (c, cadence) in cadences.iter().enumerate() {
+            let durable = durable_registry(&format!("w{workers}-c{c}"), *cadence);
+            assert_eq!(
+                serve_sorted_bytes(durable, workers),
+                reference,
+                "durable workers={workers} cadence={cadence:?} diverged"
+            );
+        }
     }
 }
 
@@ -131,7 +194,7 @@ fn jsonl_roundtrip_through_files_matches_in_memory_serving() {
     .unwrap();
     assert_eq!(reloaded.fingerprint(), data.fingerprint());
 
-    let in_memory = serve_sorted_bytes(2);
+    let in_memory = serve_sorted_bytes(registry(), 2);
     let registry = Arc::new(DatasetRegistry::new());
     registry.register(
         "default",
@@ -139,8 +202,10 @@ fn jsonl_roundtrip_through_files_matches_in_memory_serving() {
         Some(Epsilon::new(100.0).unwrap()),
     );
     let service = ExplainService::new(registry).with_workers(2);
-    let responses = service.run_batch(parse_requests(BATCH.as_bytes()).unwrap(), None);
-    let mut bytes = Vec::new();
-    write_responses(&responses, &mut bytes).unwrap();
-    assert_eq!(bytes, in_memory, "file roundtrip changed the responses");
+    let responses = service.run_batch(parse(BATCH), None);
+    assert_eq!(
+        sorted_bytes(&responses),
+        in_memory,
+        "file roundtrip changed the responses"
+    );
 }

@@ -17,7 +17,8 @@ use dpx_dp::ledger::recover;
 use dpx_dp::DpError;
 use dpx_runtime::{CancelToken, REASON_DEADLINE};
 use dpx_serve::{
-    parse_requests, AccountantShards, BatchOptions, DatasetRegistry, ExplainService, ShardConfig,
+    parse_requests_lenient, AccountantShards, BatchOptions, DatasetRegistry, ExplainService,
+    ShardConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,9 +69,9 @@ fn response_lines(
         .with_options(BatchOptions {
             deadline_ms: None,
             granted,
-            checkpoint_every: None,
         });
-    let requests = parse_requests(BATCH.as_bytes()).expect("fixed batch parses");
+    let (requests, rejects) = parse_requests_lenient(BATCH.as_bytes()).expect("in-memory read");
+    assert!(rejects.is_empty(), "{rejects:?}");
     let mut responses = service.run_batch(requests, None);
     responses.sort_by_key(|r| r.id);
     responses.iter().map(|r| r.to_json_line()).collect()
