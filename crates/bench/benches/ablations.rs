@@ -1,14 +1,11 @@
 //! Criterion ablations for the design choices called out in DESIGN.md:
 //! one-shot top-k vs iterated exponential mechanism, the contingency-count
 //! cache vs naive per-candidate rescoring, the flat counting kernel vs the
-//! naive nested-layout build, the Stage-2 search kernels (streaming
-//! sequential-RNG enumerator vs counter-based serial/parallel sweeps), and
-//! geometric vs Laplace histogram mechanisms (their accuracy comparison
+//! naive nested-layout build, and geometric vs Laplace histogram mechanisms (their accuracy comparison
 //! lives in `exp_hist_accuracy`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpclustx::quality::score::{glscore, GlScoreCache, Weights};
-use dpclustx::stage2::{select_combination, Stage2Kernel};
 use dpx_bench::counts_ablation::naive_build;
 use dpx_bench::{DatasetKind, ExperimentContext};
 use dpx_clustering::ClusteringMethod;
@@ -115,49 +112,10 @@ fn bench_counts_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_stage2_kernels(c: &mut Criterion) {
-    // The Stage-2 search kernels at the paper's 9-cluster setting: the
-    // streaming sequential-RNG enumerator vs the counter-based serial and
-    // range-partitioned parallel sweeps, at k ∈ {2, 3, 4} (9^… leaves:
-    // 512, 19 683, 262 144).
-    let ctx = ExperimentContext::build(
-        DatasetKind::Diabetes,
-        50_000,
-        ClusteringMethod::KMeans,
-        9,
-        42,
-    );
-    let eps = Epsilon::new(1.0).unwrap();
-    let w = Weights::equal();
-    let mut g = c.benchmark_group("stage2");
-    g.sample_size(10);
-    for k in [2usize, 3, 4] {
-        let candidates: Vec<Vec<usize>> = vec![(0..k).collect(); 9];
-        for kernel in [
-            Stage2Kernel::SequentialRng,
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(4),
-        ] {
-            g.bench_with_input(
-                BenchmarkId::new(kernel.label(), k),
-                &kernel,
-                |b, &kernel| {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    b.iter(|| {
-                        select_combination(&ctx.st, &candidates, w, eps, kernel, &mut rng).unwrap()
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_topk_vs_iterated,
     bench_counts_cache,
-    bench_counts_kernels,
-    bench_stage2_kernels
+    bench_counts_kernels
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use dpclustx::counts::ScoreTable;
 use dpclustx::framework::{DpClustX, DpClustXConfig};
 use dpclustx::quality::score::Weights;
 use dpclustx::stage1::select_candidates;
-use dpclustx::stage2::{select_combination, Stage2Kernel};
+use dpclustx::stage2::select_combination;
 use dpx_bench::{DatasetKind, ExperimentContext};
 use dpx_clustering::ClusteringMethod;
 use dpx_dp::budget::Epsilon;
@@ -49,10 +49,8 @@ fn bench_stage2(c: &mut Criterion) {
             &n_clusters,
             |b, _| {
                 let mut rng = StdRng::seed_from_u64(2);
-                let (w, kernel) = (Weights::equal(), Stage2Kernel::SequentialRng);
-                b.iter(|| {
-                    select_combination(&ctx.st, &candidates, w, eps, kernel, &mut rng).unwrap()
-                })
+                let w = Weights::equal();
+                b.iter(|| select_combination(&ctx.st, &candidates, w, eps, &mut rng).unwrap())
             },
         );
     }

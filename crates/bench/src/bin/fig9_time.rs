@@ -13,14 +13,10 @@
 //!   `1,2,4,8`) over rows, attribute subsets, and cluster counts; the
 //!   **incremental ablation** (`apply_delta` on a `--delta-fraction` tail vs
 //!   a full rebuild, `incremental.speedup_vs_rebuild`); plus the Stage-2
-//!   kernel sweep: leaf rates for the streaming sequential-RNG enumerator
-//!   and the counter-based serial kernel and parallel kernel at each swept
-//!   thread count above 1, with counter serial/parallel argmax equality
-//!   asserted before any timing is trusted. Every counts and Stage-2 cell
-//!   whose thread count exceeds the host's parallelism is marked
-//!   `"oversubscribed": true`, and the Stage-2 headline credits the widest
-//!   counter-parallel kernel that is not. Counts cells are timed as warmup +
-//!   min-of-runs (see `counts_ablation::time_runs`).
+//!   node rate: leaves/s of the pruned counter sweep at each `--k` and at
+//!   ε 0.1 and 1. Every counts cell whose thread count exceeds the host's
+//!   parallelism is marked `"oversubscribed": true`. Counts cells are timed
+//!   as warmup + min-of-runs (see `counts_ablation::time_runs`).
 //!
 //! ```text
 //! cargo run -p dpx-bench --release --bin fig9_time -- --mode clusters
@@ -30,7 +26,7 @@
 
 use dpclustx::engine::{ExplainEngine, NoopObserver};
 use dpclustx::framework::DpClustXConfig;
-use dpclustx::stage2::{select_combination, Stage2Kernel};
+use dpclustx::stage2::select_combination;
 use dpclustx::Weights;
 use dpx_bench::counts_ablation::{run_counts_ablation, run_incremental_ablation, CountsAblation};
 use dpx_bench::table::{mean, Table};
@@ -302,104 +298,51 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
     let incremental =
         run_incremental_ablation(&data, &labels, n_clusters, delta_fraction, widest, runs);
 
-    // Stage-2 kernel sweep on the real score table: the counter kernels must
-    // agree with each other bit-for-bit — asserted on every run before the
-    // timings are trusted.
+    // Stage-2 node rate on the real score table: the pruned counter sweep's
+    // leaves/s at the serving default ε_TopComb = 0.1 and at ε = 1, where
+    // the bound prunes more. Its wall time depends on the scores, not only
+    // on k^|C|.
     let counts = ClusteredCounts::build(&data, &labels, n_clusters, widest);
     let st = dpclustx::ScoreTable::from_clustered_counts(&counts);
-    let eps = Epsilon::new(1.0).expect("1.0 is a valid epsilon");
-    let mut kernels = vec![Stage2Kernel::SequentialRng, Stage2Kernel::CounterSerial];
-    kernels.extend(
-        threads
-            .iter()
-            .filter(|&&t| t > 1)
-            .map(|&t| Stage2Kernel::CounterParallel(t)),
-    );
-    let kernel_threads = |kernel: &Stage2Kernel| match kernel {
-        Stage2Kernel::CounterParallel(t) => *t,
-        _ => 1,
-    };
-    // The headline credits the widest counter kernel the host can actually
-    // run in parallel: counter-parallel/N for the largest swept N within the
-    // host's parallelism, or counter-serial (index 1) when every N
-    // oversubscribes.
-    let head_kernel = (1..kernels.len())
-        .filter(|&i| kernel_threads(&kernels[i]) <= parallelism)
-        .max_by_key(|&i| kernel_threads(&kernels[i]))
-        .unwrap_or(1);
     let mut stage2_cells = Vec::new();
-    // (k, leaves, sequential and headline-kernel leaf rates) at the largest
-    // swept k.
-    let mut stage2_headline: Option<(usize, u64, f64, f64)> = None;
+    let mut stage2_summary = Vec::new();
     for &k in &ks {
         let k = k.max(1).min(data.schema().arity());
         let candidates: Vec<Vec<usize>> = (0..n_clusters).map(|_| (0..k).collect()).collect();
-        eprintln!("# stage-2 kernels: k={k} ({n_clusters} clusters)");
-        let mut secs = vec![0.0f64; kernels.len()];
-        let mut leaves = 0u64;
-        for run in 0..runs.max(1) {
-            let run_seed = seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut sels = Vec::with_capacity(kernels.len());
-            for (i, &kernel) in kernels.iter().enumerate() {
+        for eps_value in [0.1, 1.0] {
+            eprintln!("# stage-2 sweep: k={k} ({n_clusters} clusters), eps={eps_value}");
+            let eps = Epsilon::new(eps_value).expect("valid epsilon");
+            let mut secs = 0.0f64;
+            let mut leaves = 0u64;
+            for run in 0..runs.max(1) {
+                let run_seed = seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let mut rng = StdRng::seed_from_u64(run_seed);
                 let t0 = Instant::now();
-                let (sel, n) =
-                    select_combination(&st, &candidates, Weights::default(), eps, kernel, &mut rng)
+                let (_, n) =
+                    select_combination(&st, &candidates, Weights::default(), eps, &mut rng)
                         .expect("non-empty candidate sets");
-                secs[i] += t0.elapsed().as_secs_f64();
-                assert!(
-                    leaves == 0 || n == leaves,
-                    "kernels cover different combination counts"
-                );
+                secs += t0.elapsed().as_secs_f64();
                 leaves = n;
-                sels.push(sel);
             }
-            for (sel, kernel) in sels[2..].iter().zip(&kernels[2..]) {
-                assert_eq!(
-                    sel,
-                    &sels[1],
-                    "counter-serial and {} disagree on the argmax",
-                    kernel.label()
-                );
-            }
-        }
-        let n = runs.max(1) as f64;
-        let seq_secs = secs[0] / n;
-        let mut kernel_cells = Vec::with_capacity(kernels.len());
-        for (kernel, &total) in kernels.iter().zip(&secs) {
-            let s = total / n;
-            kernel_cells.push(
+            assert_eq!(
+                Some(leaves),
+                (k as u64).checked_pow(n_clusters as u32),
+                "the sweep must cover all k^|C| combinations"
+            );
+            let seconds = secs / runs.max(1) as f64;
+            let rate = leaves as f64 / seconds;
+            stage2_summary.push(format!("k={k} eps={eps_value}: {rate:.0} leaves/s"));
+            stage2_cells.push(
                 Json::object()
-                    .field("kernel", kernel.label())
-                    .field("seconds", s)
-                    .field("leaves_per_sec", leaves as f64 / s)
-                    .field("speedup_vs_sequential", seq_secs / s)
-                    .field("oversubscribed", kernel_threads(kernel) > parallelism),
+                    .field("clusters", n_clusters)
+                    .field("k", k)
+                    .field("eps", eps_value)
+                    .field("leaves", leaves)
+                    .field("seconds", seconds)
+                    .field("leaves_per_sec", rate),
             );
         }
-        let head_rate = leaves as f64 / (secs[head_kernel] / n);
-        let seq_rate = leaves as f64 / seq_secs;
-        if stage2_headline.is_none_or(|(hk, ..)| k >= hk) {
-            stage2_headline = Some((k, leaves, seq_rate, head_rate));
-        }
-        stage2_cells.push(
-            Json::object()
-                .field("clusters", n_clusters)
-                .field("k", k)
-                .field("leaves", leaves)
-                .field("kernels", kernel_cells),
-        );
     }
-    let (hk, hleaves, seq_rate, head_rate) =
-        stage2_headline.expect("at least one k in the stage-2 sweep");
-    let stage2_headline = Json::object()
-        .field("clusters", n_clusters)
-        .field("k", hk)
-        .field("leaves", hleaves)
-        .field("sequential_leaves_per_sec", seq_rate)
-        .field("counter_parallel_kernel", kernels[head_kernel].label())
-        .field("counter_parallel_leaves_per_sec", head_rate)
-        .field("speedup", head_rate / seq_rate);
 
     let cells_json = |cells: &[CountsAblation]| {
         cells
@@ -440,8 +383,7 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
                 .field("rebuild_seconds", incremental.rebuild_seconds)
                 .field("speedup_vs_rebuild", incremental.speedup_vs_rebuild),
         )
-        .field("stage2_node_rate", stage2_cells)
-        .field("stage2_headline", stage2_headline);
+        .field("stage2_node_rate", stage2_cells);
 
     if let Some(parent) = std::path::Path::new(&out).parent() {
         if !parent.as_os_str().is_empty() {
@@ -470,9 +412,7 @@ fn run_bench_mode(args: &Args, datasets: &[DatasetKind], runs: usize, seed: u64)
         incremental.speedup_vs_rebuild
     );
     println!(
-        "stage-2 headline (c={n_clusters}, k={hk}): {} at {head_rate:.0} leaves/s = {:.2}x \
-         sequential ({seq_rate:.0} leaves/s)",
-        kernels[head_kernel].label(),
-        head_rate / seq_rate
+        "stage-2 sweep (c={n_clusters}): {}",
+        stage2_summary.join(", ")
     );
 }

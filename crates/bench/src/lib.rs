@@ -15,6 +15,7 @@ pub mod datasets;
 pub mod explainers;
 pub mod json;
 pub mod table;
+pub mod utility;
 
 pub use args::Args;
 pub use context::ExperimentContext;

@@ -116,16 +116,6 @@ impl Cli {
         }
     }
 
-    /// Parses `--stage2-kernel` (`seq` | `counter` | `counter-par[/N]`;
-    /// defaults to the streaming sequential-RNG kernel, which preserves the
-    /// historical seeded outputs).
-    pub fn stage2_kernel(&self) -> Result<dpclustx::Stage2Kernel, CliError> {
-        match self.flags.get("stage2-kernel") {
-            None => Ok(dpclustx::Stage2Kernel::default()),
-            Some(v) => dpclustx::Stage2Kernel::parse(v).map_err(CliError::Usage),
-        }
-    }
-
     /// Parses `--weights INT,SUF,DIV` (defaults to equal thirds).
     pub fn weights(&self) -> Result<dpclustx::quality::score::Weights, CliError> {
         match self.flags.get("weights") {
@@ -219,21 +209,6 @@ mod tests {
             .unwrap()
             .weights()
             .is_err());
-    }
-
-    #[test]
-    fn stage2_kernel_flag_parses_and_defaults() {
-        use dpclustx::Stage2Kernel;
-        let c = cli(&["explain"]).unwrap();
-        assert_eq!(c.stage2_kernel().unwrap(), Stage2Kernel::SequentialRng);
-        let c = cli(&["explain", "--stage2-kernel", "counter"]).unwrap();
-        assert_eq!(c.stage2_kernel().unwrap(), Stage2Kernel::CounterSerial);
-        let c = cli(&["explain", "--stage2-kernel", "counter-par/4"]).unwrap();
-        assert_eq!(c.stage2_kernel().unwrap(), Stage2Kernel::CounterParallel(4));
-        let c = cli(&["explain", "--stage2-kernel", "counter-par"]).unwrap();
-        assert_eq!(c.stage2_kernel().unwrap(), Stage2Kernel::CounterParallel(0));
-        let c = cli(&["explain", "--stage2-kernel", "gumbel"]).unwrap();
-        assert!(matches!(c.stage2_kernel(), Err(CliError::Usage(_))));
     }
 
     #[test]

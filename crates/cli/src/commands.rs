@@ -4,7 +4,7 @@ use crate::args::Cli;
 use crate::CliError;
 use dpclustx::baselines::tabee;
 use dpclustx::counts::ScoreTable;
-use dpclustx::engine::{CollectingObserver, ExplainEngine, NoopObserver};
+use dpclustx::engine::{CollectingObserver, ExplainEngine};
 use dpclustx::eval::{mae, QualityEvaluator};
 use dpclustx::framework::{DpClustX, DpClustXConfig};
 use dpclustx::stage1::rank_attributes;
@@ -130,37 +130,21 @@ fn explain<W: std::io::Write>(cli: &Cli, out: &mut W, evaluate: bool) -> Result<
         n_clusters
     )?;
 
-    let timings = cli.bool("timings");
-    let kernel = cli.stage2_kernel()?;
     let mut observer = CollectingObserver::new();
-    let engine = ExplainEngine::new(config).with_stage2_kernel(kernel);
-    let outcome = if timings {
-        engine.explain_uncached(
-            &data,
-            &labels,
-            n_clusters,
-            &dpx_dp::histogram::GeometricHistogram,
-            &mut rng,
-            &mut observer,
-        )?
-    } else if kernel == dpclustx::Stage2Kernel::default() {
-        DpClustX::new(config).explain(&data, &labels, n_clusters, &mut rng)?
-    } else {
-        engine.explain_uncached(
-            &data,
-            &labels,
-            n_clusters,
-            &dpx_dp::histogram::GeometricHistogram,
-            &mut rng,
-            &mut NoopObserver,
-        )?
-    };
+    let outcome = ExplainEngine::new(config).explain_uncached(
+        &data,
+        &labels,
+        n_clusters,
+        &dpx_dp::histogram::GeometricHistogram,
+        &mut rng,
+        &mut observer,
+    )?;
     writeln!(
         out,
         "\nselected attributes: {:?}",
         outcome.explanation.attribute_names()
     )?;
-    if timings {
+    if cli.bool("timings") {
         writeln!(out, "\nstage timings:\n{}", observer.report())?;
     }
     writeln!(out, "\nprivacy audit:\n{}", outcome.accountant.audit())?;
@@ -989,58 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_stage2_kernels_agree_and_bad_kernel_is_rejected() {
-        let dir = tmpdir();
-        let prefix = dir.join("kern");
-        let prefix_s = prefix.to_str().unwrap();
-        run_cli(&[
-            "generate",
-            "--dataset",
-            "diabetes",
-            "--rows",
-            "1200",
-            "--out",
-            prefix_s,
-        ])
-        .unwrap();
-        let csv = format!("{prefix_s}.csv");
-        let schema = format!("{prefix_s}.schema");
-        let explain = |kernel: &str| {
-            run_cli(&[
-                "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "3",
-                "--stage2-kernel",
-                kernel,
-            ])
-            .unwrap()
-        };
-        // Counter-serial and counter-parallel are bit-identical by design, so
-        // the whole explanation (selected attributes, histograms, audit)
-        // printed for the same seed must match verbatim.
-        assert_eq!(explain("counter"), explain("counter-par/3"));
-        assert!(explain("counter").contains("privacy audit"));
-        assert!(matches!(
-            run_cli(&[
-                "explain",
-                "--data",
-                &csv,
-                "--schema",
-                &schema,
-                "--clusters",
-                "3",
-                "--stage2-kernel",
-                "fourier",
-            ]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn serve_batch_is_byte_identical_across_worker_counts() {
         let dir = tmpdir();
         let prefix = dir.join("served");
@@ -1058,15 +990,15 @@ mod tests {
         let csv = format!("{prefix_s}.csv");
         let schema = format!("{prefix_s}.schema");
         let reqs = dir.join("served-reqs.jsonl");
-        // Unsorted ids, a shared clustering (cache reuse), a per-request
-        // kernel override, and one bad request that must fail alone.
+        // Unsorted ids, a shared clustering (cache reuse), and one bad
+        // request that must fail alone.
         std::fs::write(
             &reqs,
             concat!(
                 "{\"id\": 7, \"seed\": 1, \"n_clusters\": 3}\n",
                 "# comment line\n",
                 "{\"id\": 2, \"seed\": 2, \"n_clusters\": 3}\n",
-                "{\"id\": 5, \"seed\": 3, \"n_clusters\": 2, \"stage2_kernel\": \"counter\"}\n",
+                "{\"id\": 5, \"seed\": 3, \"n_clusters\": 2}\n",
                 "{\"id\": 1, \"seed\": 4, \"cluster_by\": 9999}\n",
             ),
         )

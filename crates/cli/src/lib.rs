@@ -89,22 +89,16 @@ USAGE:
                     [--method <kmeans|dp-kmeans|kmodes|agglomerative|gmm>]
                     [--clust-eps E] [--eps-cand E] [--eps-comb E] [--eps-hist E]
                     [--k N] [--weights INT,SUF,DIV] [--seed S] [--timings]
-                    [--stage2-kernel <seq|counter|counter-par[/N]>]
       Clusters the data and prints the DP explanation with a privacy audit.
       --timings additionally prints the staged-engine report: per-stage wall
-      time, ε charged per ledger label, and stage metrics.
-      --stage2-kernel picks the Stage-2 search: 'seq' streams Gumbel noise
-      from the session RNG (default; reproduces historical seeds), 'counter'
-      derives per-combination noise from a keyed counter PRF (enables exact
-      pruning), 'counter-par[/N]' adds a range-partitioned parallel sweep
-      with bit-identical output for any N (bare form auto-detects).
+      time, ε charged per ledger label, and stage metrics; the explanation
+      itself is the same with or without it.
 
   dpclustx-cli evaluate ... (same flags as explain)
       Additionally compares against the non-private TabEE reference
       (requires raw data access; offline analysis only).
 
   dpclustx-cli session  --data <file.csv> --schema <file.schema> [--budget E]
-                    [--stage2-kernel <seq|counter|counter-par[/N]>]
       Interactive analyst session: every command spends one shared budget.
 
   dpclustx-cli report   ... --report-out <file.md> [--title T]
@@ -118,10 +112,10 @@ USAGE:
                     [--group-commit-max-batch N]
       Executes a batch of explanation requests (one JSON object per line;
       'id' required, everything else defaulted: dataset, seed, cluster_by,
-      n_clusters, k, eps_cand, eps_comb, eps_hist, weights, stage2_kernel,
-      consistency, deadline_ms) against the loaded dataset on an N-worker
-      pool. All requests share one counts cache and one atomically-charged
-      privacy accountant (--budget caps the dataset's total ε; requests that
+      n_clusters, k, eps_cand, eps_comb, eps_hist, weights, consistency,
+      deadline_ms) against the loaded dataset on an N-worker pool. All
+      requests share one counts cache and one atomically-charged privacy
+      accountant (--budget caps the dataset's total ε; requests that
       would breach it are rejected with nothing recorded). Responses are
       written sorted by id and are byte-identical for every --workers value.
       --ledger-dir makes accounting durable and sharded: each dataset gets

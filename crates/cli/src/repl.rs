@@ -49,7 +49,6 @@ pub fn run_session<I: BufRead, W: std::io::Write>(
     let cap =
         Epsilon::new(budget).map_err(|_| CliError::Usage("--budget must be positive".into()))?;
     let mut session = Session::new(data, cap, seed);
-    session.set_stage2_kernel(cli.stage2_kernel()?);
 
     writeln!(
         out,

@@ -142,7 +142,7 @@ mod tests {
     use crate::counts::AttrCounts;
     use crate::quality::score::{glscore, Weights};
     use crate::stage1::select_candidates;
-    use crate::stage2::{select_combination, Stage2Kernel};
+    use crate::stage2::select_combination;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -206,9 +206,8 @@ mod tests {
             &mut StdRng::seed_from_u64(11),
         )
         .unwrap();
-        let kernel = Stage2Kernel::SequentialRng;
         let mut rng = StdRng::seed_from_u64(12);
-        let (b, _) = select_combination(&st, &candidates, w, eps, kernel, &mut rng).unwrap();
+        let (b, _) = select_combination(&st, &candidates, w, eps, &mut rng).unwrap();
         // Ties are possible; the achieved GlScore must coincide.
         assert!((glscore(&st, &a, w) - glscore(&st, &b, w)).abs() < 1e-9);
     }

@@ -429,17 +429,13 @@ impl ExplainContext {
     }
 }
 
-/// The staged pipeline runner: a configuration plus a worker-thread count
-/// and a Stage-2 kernel selection.
+/// The staged pipeline runner: a configuration plus a worker-thread count.
 ///
 /// `threads = 1` (the default) runs every stage sequentially;
 /// `with_threads(n)` fans Stage-1 scoring and the histogram releases out over
 /// up to `n` workers with bit-identical results. Stage-2 combination
-/// selection keeps its own selector
-/// ([`with_stage2_kernel`](Self::with_stage2_kernel)) because switching its
-/// noise source changes
-/// which draws the master RNG stream sees — the default `SequentialRng`
-/// preserves historical seeded outputs exactly.
+/// selection is one serial sweep that draws a single seed from the master
+/// RNG stream.
 ///
 /// An optional [`CancelToken`] makes runs deadline-bounded: the engine polls
 /// it **between** stages only — a stage boundary is the one place where no
@@ -449,7 +445,6 @@ impl ExplainContext {
 pub struct ExplainEngine {
     config: DpClustXConfig,
     threads: usize,
-    stage2_kernel: Stage2Kernel,
     cancel: Option<CancelToken>,
 }
 
@@ -459,7 +454,6 @@ impl ExplainEngine {
         ExplainEngine {
             config,
             threads: 1,
-            stage2_kernel: Stage2Kernel::SequentialRng,
             cancel: None,
         }
     }
@@ -470,9 +464,10 @@ impl ExplainEngine {
         self
     }
 
-    /// Selects the Stage-2 combination-selection kernel.
-    pub fn with_stage2_kernel(mut self, kernel: Stage2Kernel) -> Self {
-        self.stage2_kernel = kernel;
+    /// Returns `self` unchanged: Stage 2 has one kernel. Kept only for the
+    /// serving benchmark's replay, which still calls it.
+    #[doc(hidden)]
+    pub fn with_stage2_kernel(self, _: Stage2Kernel) -> Self {
         self
     }
 
@@ -493,11 +488,6 @@ impl ExplainEngine {
     /// The worker-thread cap.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The Stage-2 kernel in use.
-    pub fn stage2_kernel(&self) -> Stage2Kernel {
-        self.stage2_kernel
     }
 
     /// Runs the full pipeline on a context with the paper's default
@@ -614,7 +604,6 @@ impl ExplainEngine {
         let mut state = EngineState {
             config: self.config,
             threads: self.threads,
-            stage2_kernel: self.stage2_kernel,
             schema,
             source,
             mechanism,

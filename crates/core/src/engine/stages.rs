@@ -5,7 +5,7 @@ use crate::counts::ScoreTable;
 use crate::explanation::{AttributeCombination, GlobalExplanation};
 use crate::framework::DpClustXConfig;
 use crate::stage1::{select_candidates, CandidateSets};
-use crate::stage2::{generate_histograms, select_combination, Stage2Kernel};
+use crate::stage2::{generate_histograms, select_combination};
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::{hash_labels, Dataset, Schema};
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -87,7 +87,6 @@ impl Tables<'_> {
 pub struct EngineState<'a, M: ?Sized, R: Rng + ?Sized> {
     pub(super) config: DpClustXConfig,
     pub(super) threads: usize,
-    pub(super) stage2_kernel: Stage2Kernel,
     pub(super) schema: &'a Schema,
     pub(super) source: Source<'a>,
     pub(super) mechanism: &'a M,
@@ -212,10 +211,8 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CandidateSel
 
 /// Stage 2 selection: the exponential mechanism (Gumbel-max) over all
 /// `k^|C|` combinations, charged `ε_TopComb` under
-/// `stage2/select-combination`, run on the engine's configured
-/// [`Stage2Kernel`] (streaming reference or counter-based serial/parallel).
-/// Reports how many combinations the enumeration covered — always the full
-/// product space.
+/// `stage2/select-combination`. Reports the size of the combination space
+/// the sweep covered — always the full product, pruned leaves included.
 pub struct CombinationSelection;
 
 impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CombinationSelection {
@@ -226,7 +223,6 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CombinationS
     fn run(&self, state: &mut EngineState<'_, M, R>) -> Result<Vec<(&'static str, f64)>, DpError> {
         let EngineState {
             config,
-            stage2_kernel,
             rng,
             accountant,
             tables,
@@ -237,14 +233,7 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for CombinationS
         let eps_comb = Epsilon::new(config.eps_top_comb)?;
         let table = tables.as_ref().expect("BuildCounts ran").table();
         let sets = candidates.as_ref().expect("CandidateSelection ran");
-        let (sel, leaves) = select_combination(
-            table,
-            sets,
-            config.weights,
-            eps_comb,
-            *stage2_kernel,
-            &mut **rng,
-        )?;
+        let (sel, leaves) = select_combination(table, sets, config.weights, eps_comb, &mut **rng)?;
         accountant.charge("stage2/select-combination", eps_comb)?;
         *assignment = Some(sel);
         Ok(vec![("combinations_enumerated", leaves as f64)])

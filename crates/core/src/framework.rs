@@ -6,7 +6,7 @@ use crate::engine::{ExplainEngine, NoopObserver};
 use crate::explanation::{AttributeCombination, GlobalExplanation};
 use crate::quality::score::Weights;
 use crate::stage1::select_candidates;
-use crate::stage2::{select_combination, Stage2Kernel};
+use crate::stage2::select_combination;
 use dpx_data::contingency::ClusteredCounts;
 use dpx_data::Dataset;
 use dpx_dp::budget::{Accountant, Epsilon};
@@ -114,9 +114,7 @@ impl DpClustX {
         let eps_comb = Epsilon::new(self.config.eps_top_comb)?;
         let gamma = self.config.weights.gamma();
         let candidates = select_candidates(st, gamma, eps_cand, self.config.k, 1, rng)?;
-        let kernel = Stage2Kernel::SequentialRng;
-        select_combination(st, &candidates, self.config.weights, eps_comb, kernel, rng)
-            .map(|(sel, _)| sel)
+        select_combination(st, &candidates, self.config.weights, eps_comb, rng).map(|(sel, _)| sel)
     }
 
     /// Runs the full pipeline with the paper's default histogram mechanism

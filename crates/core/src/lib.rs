@@ -74,4 +74,3 @@ pub use engine::{
 pub use explanation::{AttributeCombination, GlobalExplanation, SingleClusterExplanation};
 pub use framework::{DpClustX, DpClustXConfig};
 pub use quality::score::Weights;
-pub use stage2::Stage2Kernel;

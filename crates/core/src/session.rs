@@ -18,7 +18,6 @@
 use crate::engine::{ExplainContext, ExplainEngine, PipelineObserver};
 use crate::explanation::GlobalExplanation;
 use crate::framework::DpClustXConfig;
-use crate::stage2::Stage2Kernel;
 use dpx_clustering::dp_kmeans::{self, DpKMeansConfig};
 use dpx_clustering::model::ClusterModel;
 use dpx_data::Dataset;
@@ -38,7 +37,6 @@ pub struct Session {
     /// Current clustering (labels + cluster count), if any.
     clustering: Option<(Vec<usize>, usize)>,
     charge_counter: usize,
-    stage2_kernel: Stage2Kernel,
 }
 
 impl Session {
@@ -50,20 +48,7 @@ impl Session {
             accountant: Accountant::with_cap(budget_cap),
             clustering: None,
             charge_counter: 0,
-            stage2_kernel: Stage2Kernel::SequentialRng,
         }
-    }
-
-    /// Selects the Stage-2 combination-selection kernel for subsequent
-    /// `explain` calls (default: the streaming `SequentialRng` reference,
-    /// which preserves historical seeded outputs).
-    pub fn set_stage2_kernel(&mut self, kernel: Stage2Kernel) {
-        self.stage2_kernel = kernel;
-    }
-
-    /// The Stage-2 kernel in use.
-    pub fn stage2_kernel(&self) -> Stage2Kernel {
-        self.stage2_kernel
     }
 
     /// ε spent so far.
@@ -144,7 +129,7 @@ impl Session {
         let total = Epsilon::new(config.total_epsilon())?;
         let label = self.next_label("dpclustx");
         self.accountant.charge(label, total)?;
-        let engine = ExplainEngine::new(config).with_stage2_kernel(self.stage2_kernel);
+        let engine = ExplainEngine::new(config);
         let outcome = match observer {
             Some(obs) => engine.explain_observed(&mut self.ctx, &labels, n_clusters, obs)?,
             None => engine.explain(&mut self.ctx, &labels, n_clusters)?,
@@ -344,26 +329,5 @@ mod tests {
                 .attribute_combination()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn counter_kernel_session_is_deterministic_and_thread_invariant() {
-        let run = |kernel: Stage2Kernel| {
-            let mut s = Session::new(data(), Epsilon::new(1.0).unwrap(), 42);
-            s.set_stage2_kernel(kernel);
-            assert_eq!(s.stage2_kernel(), kernel);
-            let model = PredicateModel::new(2, |row: &[u32]| row[0] as usize);
-            s.set_clustering(&model);
-            let expl = s.explain(DpClustXConfig::default()).unwrap();
-            (expl.attribute_combination(), s.spent())
-        };
-        let serial = run(Stage2Kernel::CounterSerial);
-        for threads in [1, 2, 5] {
-            assert_eq!(
-                run(Stage2Kernel::CounterParallel(threads)),
-                serial,
-                "threads={threads}"
-            );
-        }
     }
 }

@@ -5,13 +5,10 @@
 //! 1. **Combination selection** (line 5, [`select_combination`]): the
 //!    exponential mechanism over all `k^|C|` attribute combinations drawn
 //!    from the candidate sets, scored by the sensitivity-1 `GlScore_λ`.
-//!    Sampling uses the Gumbel-max trick so the full combination space is
-//!    enumerated exactly once, with incremental partial scores — no
-//!    `k^|C|`-sized allocation. Two kernels realize that mechanism (selected
-//!    by [`Stage2Kernel`]): the streaming sequential-RNG enumerator, and the
-//!    counter-based sweep, whose per-leaf PRF noise makes the leaf space
-//!    range-partitionable across threads and prunable by an exact
-//!    branch-and-bound bound — bit-identical for any thread count.
+//!    Sampling uses the Gumbel-max trick with counter-based per-leaf noise:
+//!    one sweep over the combination space, with incremental partial scores
+//!    and no `k^|C|`-sized allocation, and an exact branch-and-bound bound
+//!    that skips every leaf that cannot win.
 //! 2. **Histogram release** (lines 6–15, [`generate_histograms`]): noisy
 //!    full-data histograms for the *distinct* selected attributes at
 //!    `ε_Hist/(2|A'|)` each (sequential composition), noisy in-cluster
@@ -27,28 +24,41 @@ use dpx_data::Schema;
 use dpx_dp::budget::{Accountant, Epsilon};
 use dpx_dp::consistency::enforce_partition_consistency;
 use dpx_dp::counter::{gumbel_at, GUMBEL_UNIT_MAX};
-use dpx_dp::gumbel::sample_gumbel;
 use dpx_dp::histogram::{subtract_clamped, HistogramMechanism};
 use dpx_dp::DpError;
-use dpx_runtime::{chunk_worker_reduce, default_threads, ordered_parallel_map};
+use dpx_runtime::ordered_parallel_map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The streaming `SequentialRng` kernel of [`select_combination`]: one
-/// [`sample_gumbel`] draw from `rng` per leaf, in leaf order.
+/// Accepted and ignored: Stage 2 has one kernel, the pruned counter sweep
+/// of [`select_combination`]. The type exists only for the serving
+/// benchmark's replay (`servebench/src/replay.rs`), which still passes
+/// `ExplainRequest::stage2_kernel` to `ExplainEngine::with_stage2_kernel`;
+/// nothing reads it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stage2Kernel;
+
+/// Selects the noisy-best attribute combination from the candidate sets with
+/// the exponential mechanism at `eps_top_comb` (Algorithm 2, line 5).
 ///
-/// The enumerator is **iterative**: an odometer over the candidate sets
-/// (rightmost cluster fastest — the same lexicographic leaf order as the
-/// historical recursive DFS, kept as a test oracle) walking precomputed
-/// per-level gain slices with running prefix sums. For each prefix of fixed
-/// earlier choices, every candidate's marginal `GlScore` contribution at a
-/// level is materialized once into a slice; the innermost loop is then a
-/// slice read, one multiply-add, and one Gumbel draw per leaf — no
-/// recursion, no per-leaf pair-term scan. The arithmetic reuses
-/// [`GlScoreCache::marginal_gain`] with the same association order as the
-/// DFS, so leaf scores, the Gumbel stream, and the argmax are all
-/// bit-identical to the recursive oracle (twin-RNG tested).
-fn select_combination_counted<R: Rng + ?Sized>(
+/// Gumbel-max over the `k^|C|` combination space: leaf `i` (the mixed-radix
+/// index of a choice vector, rightmost cluster fastest) scores
+/// `ε/2 · GlScore + gumbel_at(seed, i)` with Δ = 1 (Proposition 4.9), and
+/// the highest score wins, the earliest leaf on an exact tie. Exactly one
+/// `u64`, the PRF `seed`, is drawn from `rng` whatever the leaf count, so
+/// every leaf's noise is a pure function of its index and the sweep may skip
+/// leaves whose draw it can prove irrelevant.
+///
+/// Returns the chosen attribute index per cluster and the number of
+/// combination leaves in the space — the full `k^|C|` product, skipped
+/// leaves included, which the engine observer reports.
+///
+/// # Errors
+/// [`DpError::EmptyCandidateSet`] when a candidate set is empty and
+/// [`DpError::CombinationSpaceOverflow`] when `k^|C|` does not fit in a
+/// `u64`; neither draws from `rng`.
+pub fn select_combination<R: Rng + ?Sized>(
     st: &ScoreTable,
     candidates: &[Vec<usize>],
     weights: Weights,
@@ -58,204 +68,25 @@ fn select_combination_counted<R: Rng + ?Sized>(
     if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
         return Err(DpError::EmptyCandidateSet);
     }
-    let cache = GlScoreCache::build(st, candidates, weights);
-    // Exponential mechanism via Gumbel-max: argmax over combinations of
-    // ε·GlScore/(2Δ) + Gumbel(1), with Δ = 1 (Proposition 4.9).
-    let factor = eps_top_comb.get() / 2.0;
-    let n = candidates.len();
-    let last = n - 1;
     let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
-    let mut choice = vec![0usize; n];
-    let mut best_choice = vec![0usize; n];
-    let mut best_val = f64::NEG_INFINITY;
-    let mut leaves = 0u64;
-    // gains[c][i]: marginal GlScore contribution of candidate i at level c
-    // under the current prefix `choice[..c]`; prefix_sum[c]: total gain of
-    // the chosen candidates at levels < c, accumulated left to right.
-    let mut gains: Vec<Vec<f64>> = (0..n)
-        .map(|c| {
-            (0..ks[c])
-                .map(|i| cache.marginal_gain(&choice[..c], c, i))
-                .collect()
-        })
+    let total = ks
+        .iter()
+        .try_fold(1u64, |acc, &k| acc.checked_mul(k as u64))
+        .ok_or(DpError::CombinationSpaceOverflow)?;
+    let cache = GlScoreCache::build(st, candidates, weights);
+    let seed: u64 = rng.gen();
+    let best = sweep_counter(&cache, &ks, eps_top_comb.get() / 2.0, seed);
+    let sel = best
+        .iter()
+        .enumerate()
+        .map(|(c, &i)| candidates[c][i])
         .collect();
-    let mut prefix_sum = vec![0.0f64; n];
-    for c in 1..n {
-        prefix_sum[c] = prefix_sum[c - 1] + gains[c - 1][choice[c - 1]];
-    }
-    loop {
-        // Leaf sweep: all candidates of the last cluster under this prefix.
-        let base = prefix_sum[last];
-        for (i, &gain) in gains[last].iter().enumerate() {
-            let noisy = factor * (base + gain) + sample_gumbel(1.0, rng);
-            leaves += 1;
-            if noisy > best_val {
-                best_val = noisy;
-                best_choice[..last].copy_from_slice(&choice[..last]);
-                best_choice[last] = i;
-            }
-        }
-        // Odometer step over the prefix levels (rightmost fastest).
-        let mut pos = last;
-        loop {
-            if pos == 0 {
-                let sel = best_choice
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &i)| candidates[c][i])
-                    .collect();
-                return Ok((sel, leaves));
-            }
-            pos -= 1;
-            choice[pos] += 1;
-            if choice[pos] < ks[pos] {
-                break;
-            }
-            choice[pos] = 0;
-        }
-        // Levels above `pos` saw their prefix change: refresh their gain
-        // slices and running prefix sums (gains[pos] itself only depends on
-        // choices *before* pos, which are unchanged).
-        for c in pos + 1..n {
-            for (i, slot) in gains[c].iter_mut().enumerate() {
-                *slot = cache.marginal_gain(&choice[..c], c, i);
-            }
-        }
-        for c in pos + 1..n {
-            prefix_sum[c] = prefix_sum[c - 1] + gains[c - 1][choice[c - 1]];
-        }
-    }
+    Ok((sel, total))
 }
 
-/// Which enumeration kernel drives Stage-2 combination selection.
-///
-/// Both kernels realize the *same* exponential-mechanism distribution (each
-/// leaf's perturbation is one unit-scale Gumbel draw); they differ in where
-/// the noise comes from and therefore in what the enumerator is allowed to
-/// do with the leaf space:
-///
-/// * [`SequentialRng`](Stage2Kernel::SequentialRng) — the streaming kernel:
-///   every leaf consumes the caller's RNG in leaf order, so the sweep is
-///   pinned to one core and must visit every leaf. This is the historical
-///   behavior and stays the default; all seeded-reproducibility guarantees
-///   of existing runs are unchanged.
-/// * [`CounterSerial`](Stage2Kernel::CounterSerial) — noise at leaf `i` is
-///   the counter-based [`gumbel_at`]`(seed, i)`, a pure function, with one
-///   fresh `seed` drawn from the caller's RNG per selection. Independence
-///   across leaves lets the sweep prune: whole slices — and, at carry time,
-///   whole subtrees — whose best possible score plus [`GUMBEL_UNIT_MAX`]
-///   cannot beat the running best are skipped without computing their draws,
-///   exact, not approximate.
-/// * [`CounterParallel`](Stage2Kernel::CounterParallel) — the same
-///   counter-based sweep, range-partitioned over `threads` workers via
-///   mixed-radix odometer seeking; deterministically merged, bit-identical
-///   to `CounterSerial` for every thread count. `0` means "auto" (machine
-///   parallelism).
-///
-/// Neither kernel dominates: the pruned counter sweep wins by a wide margin
-/// at large ε, where the bound skips most of the space, and can lose to the
-/// streaming kernel at small ε, where it prunes little.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stage2Kernel {
-    /// Streaming Gumbel draws from the caller's sequential RNG (default).
-    #[default]
-    SequentialRng,
-    /// Counter-based per-leaf noise, single-threaded sweep.
-    CounterSerial,
-    /// Counter-based per-leaf noise, range-partitioned across N threads
-    /// (`0` = auto-detect machine parallelism).
-    CounterParallel(usize),
-}
-
-impl Stage2Kernel {
-    /// Parses a CLI/bench selector: `seq` (or `sequential-rng`), `counter`
-    /// (or `counter-serial`), `counter-par[/N]` (or `counter-parallel[/N]`;
-    /// the bare form and `/auto` auto-detect the thread count). Every
-    /// [`label`](Self::label) parses back to the kernel it names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (name, threads) = match s.split_once('/') {
-            Some((n, t)) => (n, Some(t)),
-            None => (s, None),
-        };
-        match (name, threads) {
-            ("seq" | "sequential" | "sequential-rng", None) => Ok(Stage2Kernel::SequentialRng),
-            ("counter" | "counter-serial", None) => Ok(Stage2Kernel::CounterSerial),
-            ("counter-par" | "counter-parallel", None | Some("auto")) => {
-                Ok(Stage2Kernel::CounterParallel(0))
-            }
-            ("counter-par" | "counter-parallel", Some(t)) => t
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(Stage2Kernel::CounterParallel)
-                .ok_or_else(|| format!("invalid thread count {t:?} in stage2 kernel {s:?}")),
-            _ => Err(format!(
-                "unknown stage2 kernel {s:?} (expected seq, counter, or counter-par[/N])"
-            )),
-        }
-    }
-
-    /// Stable display/JSON label for this kernel; [`parse`](Self::parse)
-    /// accepts it back.
-    pub fn label(&self) -> String {
-        match self {
-            Stage2Kernel::SequentialRng => "sequential-rng".into(),
-            Stage2Kernel::CounterSerial => "counter-serial".into(),
-            Stage2Kernel::CounterParallel(0) => "counter-parallel/auto".into(),
-            Stage2Kernel::CounterParallel(t) => format!("counter-parallel/{t}"),
-        }
-    }
-}
-
-/// Selects the noisy-best attribute combination from the candidate sets with
-/// the exponential mechanism at `eps_top_comb` (Algorithm 2, line 5), on the
-/// given [`Stage2Kernel`].
-///
-/// Returns the chosen attribute index per cluster and the number of
-/// combination leaves in the enumerated space — the full `k^|C|` product,
-/// which the engine observer reports and tests use to prove no combination
-/// is silently skipped.
-///
-/// `SequentialRng` consumes one RNG draw per leaf; the counter kernels
-/// consume exactly **one** `u64` (the PRF seed) regardless of leaf count, so
-/// `CounterSerial` and `CounterParallel` are stream-compatible with each
-/// other (and trivially with themselves across thread counts).
-pub fn select_combination<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-    eps_top_comb: Epsilon,
-    kernel: Stage2Kernel,
-    rng: &mut R,
-) -> Result<(AttributeCombination, u64), DpError> {
-    match kernel {
-        Stage2Kernel::SequentialRng => {
-            select_combination_counted(st, candidates, weights, eps_top_comb, rng)
-        }
-        Stage2Kernel::CounterSerial => {
-            select_combination_counter(st, candidates, weights, eps_top_comb, 1, rng)
-        }
-        Stage2Kernel::CounterParallel(threads) => {
-            let threads = if threads == 0 {
-                default_threads(usize::MAX)
-            } else {
-                threads
-            };
-            select_combination_counter(st, candidates, weights, eps_top_comb, threads, rng)
-        }
-    }
-}
-
-/// The Stage-2 enumerator state at one leaf: the mixed-radix choice vector,
-/// the per-level marginal-gain slices under the current prefix, and their
-/// running left-fold prefix sums.
-///
-/// The state at leaf `i` is a *pure function* of `i`: every `gains[c][j]` is
-/// `GlScoreCache::marginal_gain(&choice[..c], c, j)` (itself pure) and every
-/// prefix sum is the same fixed-order left fold — so [`Odometer::seek`]
-/// lands bit-for-bit on the state the serial sweep reaches by carrying
-/// through leaves `0..i` (tested). That equivalence is what makes contiguous
-/// range partitions of the leaf space exact rather than approximate.
+/// The Stage-2 enumerator state at one slice of leaves: the mixed-radix
+/// choice vector, the per-level marginal-gain slices under the current
+/// prefix, and their running left-fold prefix sums.
 struct Odometer<'a> {
     cache: &'a GlScoreCache,
     ks: &'a [usize],
@@ -265,65 +96,21 @@ struct Odometer<'a> {
 }
 
 impl<'a> Odometer<'a> {
-    /// Seeks directly to `leaf`: mixed-radix decomposition of the index
-    /// (rightmost cluster fastest — the enumeration order shared by every
-    /// Stage-2 kernel) followed by a fresh gain/prefix rebuild, costing
-    /// O(|C|·k) `marginal_gain` calls independent of `leaf`.
-    fn seek(cache: &'a GlScoreCache, ks: &'a [usize], leaf: u64) -> Self {
+    /// The state at leaf 0 (every digit 0).
+    fn new(cache: &'a GlScoreCache, ks: &'a [usize]) -> Self {
         let n = ks.len();
-        let mut choice = vec![0usize; n];
-        let mut rem = leaf;
-        for c in (0..n).rev() {
-            let k = ks[c] as u64;
-            choice[c] = (rem % k) as usize;
-            rem /= k;
-        }
-        debug_assert_eq!(rem, 0, "leaf index out of the combination space");
-        let gains: Vec<Vec<f64>> = (0..n)
-            .map(|c| {
-                (0..ks[c])
-                    .map(|i| cache.marginal_gain(&choice[..c], c, i))
-                    .collect()
-            })
-            .collect();
-        let mut prefix_sum = vec![0.0f64; n];
-        for c in 1..n {
-            prefix_sum[c] = prefix_sum[c - 1] + gains[c - 1][choice[c - 1]];
-        }
-        Odometer {
+        let mut odo = Odometer {
             cache,
             ks,
-            choice,
-            gains,
-            prefix_sum,
+            choice: vec![0; n],
+            gains: ks.iter().map(|&k| vec![0.0; k]).collect(),
+            prefix_sum: vec![0.0; n],
+        };
+        for i in 0..ks[0] {
+            odo.gains[0][i] = cache.marginal_gain(&[], 0, i);
         }
-    }
-
-    /// Advances the prefix levels (everything left of the last cluster) by
-    /// one, refreshing the gain slices and prefix sums of the levels whose
-    /// prefix changed — the same carry step as the serial sweep (the pruned
-    /// sweep inlines the increment to interleave subtree bounds, then calls
-    /// [`Odometer::refresh_from`]). Returns `false` when the prefix space is
-    /// exhausted. Kept as the unpruned reference for the seek-equivalence
-    /// property test.
-    #[cfg(test)]
-    fn carry(&mut self) -> bool {
-        let n = self.ks.len();
-        let last = n - 1;
-        let mut pos = last;
-        loop {
-            if pos == 0 {
-                return false;
-            }
-            pos -= 1;
-            self.choice[pos] += 1;
-            if self.choice[pos] < self.ks[pos] {
-                break;
-            }
-            self.choice[pos] = 0;
-        }
-        self.refresh_from(pos);
-        true
+        odo.refresh_from(0);
+        odo
     }
 
     /// Rebuilds the gain slices and prefix sums of every level right of
@@ -343,30 +130,9 @@ impl<'a> Odometer<'a> {
     }
 }
 
-/// A range sweep's argmax: the best noisy value, the (globally indexed) leaf
-/// achieving it, and that leaf's choice vector.
-struct RangeBest {
-    val: f64,
-    leaf: u64,
-    choice: Vec<usize>,
-}
-
-/// The inputs shared by every range of one counter-based sweep: the score
-/// cache, the per-cluster candidate counts, the exponential-mechanism factor
-/// `eps/2`, the PRF seed, and the precomputed subtree-pruning tables
-/// (`bounds[c]` = max prefix-independent gain bound of cluster `c`,
-/// `subtree[c]` = leaves under a fixed prefix of length `c`).
-struct SweepInputs<'a> {
-    cache: &'a GlScoreCache,
-    ks: &'a [usize],
-    factor: f64,
-    seed: u64,
-    bounds: &'a [f64],
-    subtree: &'a [u64],
-}
-
-/// Sweeps leaves `[start, end)` with counter-based noise, returning the
-/// range-local argmax (earliest leaf on exact ties, via strict `>` updates).
+/// Sweeps the whole combination space with counter-based noise at
+/// `factor = ε/2` and returns the argmax's choice vector (earliest leaf on
+/// exact ties, via strict `>` updates).
 ///
 /// Two levels of exact branch-and-bound pruning, both enabled by per-leaf
 /// counter noise (a sequential stream must draw every leaf's Gumbel just to
@@ -387,52 +153,43 @@ struct SweepInputs<'a> {
 /// each replaced term dominates its actual term, the folds run in identical
 /// order, and IEEE addition and positive multiplication are monotone, so a
 /// skipped leaf's noisy value could never have passed the strict `>` update.
-/// The argmax, its value, and the earliest-leaf tie-breaking are therefore
-/// bit-identical to the unpruned sweep.
-fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeBest {
-    debug_assert!(start < end);
-    let &SweepInputs {
-        cache,
-        ks,
-        factor,
-        seed,
-        bounds,
-        subtree,
-    } = inputs;
+/// The argmax is therefore bit-identical to the unpruned sweep (tested).
+fn sweep_counter(cache: &GlScoreCache, ks: &[usize], factor: f64, seed: u64) -> Vec<usize> {
     let n = ks.len();
     let last = n - 1;
-    let k_last = ks[last];
-    let mut odo = Odometer::seek(cache, ks, start);
-    let mut best = RangeBest {
-        val: f64::NEG_INFINITY,
-        leaf: start,
-        choice: odo.choice.clone(),
-    };
-    let mut leaf = start;
-    // The first slice may start mid-way (seek lands on digit `choice[last]`);
-    // subsequent slices always start at digit 0.
-    let mut digit0 = odo.choice[last];
+    // bounds[c]: the largest prefix-independent gain bound of cluster c;
+    // subtree[c]: the leaves under a fixed prefix of length c.
+    let bounds: Vec<f64> = (0..n)
+        .map(|c| {
+            (0..ks[c])
+                .map(|i| cache.gain_upper_bound(c, i, ks))
+                .fold(f64::NEG_INFINITY, f64::max)
+        })
+        .collect();
+    let mut subtree = vec![1u64; n + 1];
+    for c in (0..n).rev() {
+        subtree[c] = subtree[c + 1] * ks[c] as u64;
+    }
+    let mut odo = Odometer::new(cache, ks);
+    let mut best_val = f64::NEG_INFINITY;
+    let mut best = odo.choice.clone();
+    // The index of the current slice's first leaf.
+    let mut leaf = 0u64;
     loop {
         let base = odo.prefix_sum[last];
-        let slice_len = ((end - leaf).min((k_last - digit0) as u64)) as usize;
-        let gains = &odo.gains[last][digit0..digit0 + slice_len];
+        let gains = &odo.gains[last];
         let gmax = gains.iter().fold(f64::NEG_INFINITY, |m, &g| m.max(g));
-        if factor * (base + gmax) + GUMBEL_UNIT_MAX > best.val {
-            for (off, &gain) in gains.iter().enumerate() {
-                let idx = leaf + off as u64;
-                let noisy = factor * (base + gain) + gumbel_at(seed, idx, 1.0);
-                if noisy > best.val {
-                    best.val = noisy;
-                    best.leaf = idx;
-                    best.choice.copy_from_slice(&odo.choice);
-                    best.choice[last] = digit0 + off;
+        if factor * (base + gmax) + GUMBEL_UNIT_MAX > best_val {
+            for (i, &gain) in gains.iter().enumerate() {
+                let noisy = factor * (base + gain) + gumbel_at(seed, leaf + i as u64, 1.0);
+                if noisy > best_val {
+                    best_val = noisy;
+                    best.copy_from_slice(&odo.choice);
+                    best[last] = i;
                 }
             }
         }
-        leaf += slice_len as u64;
-        if leaf >= end {
-            return best;
-        }
+        leaf += subtree[last];
         // Carry with subtree pruning: find the next prefix whose subtree
         // could still contain a winner, skipping hopeless ones wholesale.
         let mut pos = last;
@@ -452,13 +209,10 @@ fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeB
             for &m in &bounds[pos + 1..] {
                 b += m;
             }
-            if factor * b + GUMBEL_UNIT_MAX <= best.val {
+            if factor * b + GUMBEL_UNIT_MAX <= best_val {
                 // `leaf` sits on the subtree's first leaf; skip all of it
                 // and retry the increment at this same position.
                 leaf += subtree[pos + 1];
-                if leaf >= end {
-                    return best;
-                }
                 pos += 1;
                 continue;
             }
@@ -466,96 +220,7 @@ fn sweep_counter_range(inputs: &SweepInputs<'_>, start: u64, end: u64) -> RangeB
         }
         // The surviving carry position: restore the invariants below it.
         odo.refresh_from(pos);
-        digit0 = 0;
     }
-}
-
-/// Counter-based Stage-2 combination selection (the `CounterSerial` /
-/// `CounterParallel` kernels): the exponential mechanism over the `k^|C|`
-/// combination space via the Gumbel-max trick, with each leaf's perturbation
-/// derived from a keyed PRF ([`gumbel_at`]) instead of a shared stream.
-///
-/// Exactly one `u64` (the PRF seed) is drawn from `rng`, after which every
-/// leaf's noisy score is a pure function of its index. The sweep splits
-/// `[0, k^|C|)` into `threads` contiguous ranges claimed by workers (each
-/// seeking its start leaf in O(|C|·k), then carrying normally), and the
-/// per-range argmaxes merge order-free: the higher value wins, and an exact
-/// tie goes to the earlier leaf — the serial sweep's tie-breaking — so the
-/// selected combination is **bit-identical for every thread count**
-/// (property-tested). Returns the selection and the size of the enumerated
-/// space, as the streaming kernel does.
-fn select_combination_counter<R: Rng + ?Sized>(
-    st: &ScoreTable,
-    candidates: &[Vec<usize>],
-    weights: Weights,
-    eps_top_comb: Epsilon,
-    threads: usize,
-    rng: &mut R,
-) -> Result<(AttributeCombination, u64), DpError> {
-    if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
-        return Err(DpError::EmptyCandidateSet);
-    }
-    let cache = GlScoreCache::build(st, candidates, weights);
-    let factor = eps_top_comb.get() / 2.0;
-    let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
-    let total = ks
-        .iter()
-        .try_fold(1u64, |acc, &k| acc.checked_mul(k as u64))
-        .expect("combination space exceeds u64");
-    let seed: u64 = rng.gen();
-    // Per-cluster maxima of the prefix-independent gain bounds and the
-    // suffix subtree sizes — the shared inputs of the sweeps' subtree
-    // pruning (`subtree[c]` = leaves under a fixed prefix of length `c`).
-    let bounds: Vec<f64> = (0..ks.len())
-        .map(|c| {
-            (0..ks[c])
-                .map(|i| cache.gain_upper_bound(c, i, &ks))
-                .fold(f64::NEG_INFINITY, f64::max)
-        })
-        .collect();
-    let mut subtree = vec![1u64; ks.len() + 1];
-    for c in (0..ks.len()).rev() {
-        subtree[c] = subtree[c + 1] * ks[c] as u64;
-    }
-    let inputs = SweepInputs {
-        cache: &cache,
-        ks: &ks,
-        factor,
-        seed,
-        bounds: &bounds,
-        subtree: &subtree,
-    };
-    let keep_better = |acc: &mut RangeBest, part: RangeBest| {
-        if part.val > acc.val || (part.val == acc.val && part.leaf < acc.leaf) {
-            *acc = part;
-        }
-    };
-    let threads = threads.max(1);
-    let best = chunk_worker_reduce(
-        total as usize,
-        (total as usize).div_ceil(threads),
-        threads,
-        || RangeBest {
-            val: f64::NEG_INFINITY,
-            leaf: u64::MAX,
-            choice: Vec::new(),
-        },
-        |acc, r| {
-            keep_better(
-                acc,
-                sweep_counter_range(&inputs, r.start as u64, r.end as u64),
-            )
-        },
-        keep_better,
-    )
-    .expect("combination space is non-empty");
-    let sel = best
-        .choice
-        .iter()
-        .enumerate()
-        .map(|(c, &i)| candidates[c][i])
-        .collect();
-    Ok((sel, total))
 }
 
 /// Exhaustive non-private argmax over the combination space — the TabEE
@@ -744,95 +409,88 @@ mod tests {
     use crate::quality::score::glscore;
     use dpx_data::schema::{Attribute, Domain};
     use dpx_data::Dataset;
+    use dpx_dp::gumbel::sample_gumbel;
     use dpx_dp::histogram::GeometricHistogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The historical recursive implementation of
-    /// [`select_combination_counted`]: the oracle the iterative enumerator is
-    /// twin-RNG tested against (identical Gumbel stream, leaf count, and
-    /// argmax).
-    fn select_combination_counted_recursive<R: Rng + ?Sized>(
+    /// The streaming Gumbel-max sampler: one [`sample_gumbel`] draw from
+    /// `rng` per leaf, in leaf order, no pruning. The distribution reference
+    /// for [`select_combination`], which realizes the same exponential
+    /// mechanism from counter-based noise.
+    fn select_combination_counted<R: Rng + ?Sized>(
         st: &ScoreTable,
         candidates: &[Vec<usize>],
         weights: Weights,
         eps_top_comb: Epsilon,
         rng: &mut R,
-    ) -> Result<(AttributeCombination, u64), DpError> {
-        if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
-            return Err(DpError::EmptyCandidateSet);
-        }
+    ) -> (AttributeCombination, u64) {
         let cache = GlScoreCache::build(st, candidates, weights);
         let factor = eps_top_comb.get() / 2.0;
-        let n = candidates.len();
-        let mut best_choice = vec![0usize; n];
+        let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
+        let last = ks.len() - 1;
+        let mut odo = Odometer::new(&cache, &ks);
+        let mut best = odo.choice.clone();
         let mut best_val = f64::NEG_INFINITY;
-        let mut prefix: Vec<usize> = Vec::with_capacity(n);
-        let mut partial: Vec<f64> = Vec::with_capacity(n + 1);
         let mut leaves = 0u64;
-        partial.push(0.0);
-        dfs(
-            &cache,
-            candidates,
-            factor,
-            &mut prefix,
-            &mut partial,
-            &mut best_choice,
-            &mut best_val,
-            &mut leaves,
-            rng,
-        );
-        let sel = best_choice
-            .iter()
-            .enumerate()
-            .map(|(c, &i)| candidates[c][i])
-            .collect();
-        Ok((sel, leaves))
+        loop {
+            let base = odo.prefix_sum[last];
+            for (i, &gain) in odo.gains[last].iter().enumerate() {
+                let noisy = factor * (base + gain) + sample_gumbel(1.0, rng);
+                leaves += 1;
+                if noisy > best_val {
+                    best_val = noisy;
+                    best.copy_from_slice(&odo.choice);
+                    best[last] = i;
+                }
+            }
+            let mut pos = last;
+            loop {
+                if pos == 0 {
+                    let sel = best
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &i)| candidates[c][i])
+                        .collect();
+                    return (sel, leaves);
+                }
+                pos -= 1;
+                odo.choice[pos] += 1;
+                if odo.choice[pos] < ks[pos] {
+                    break;
+                }
+                odo.choice[pos] = 0;
+            }
+            odo.refresh_from(pos);
+        }
     }
 
-    /// DFS over combination space, maintaining the running `GlScore` prefix sum;
-    /// at each leaf draws the Gumbel perturbation and tracks the argmax.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs<R: Rng + ?Sized>(
+    /// The unpruned counter sweep: every leaf scored directly as
+    /// `factor · glscore_cached + gumbel_at(seed, i)`, its choice vector
+    /// decoded from the leaf index, strict `>`, earliest leaf wins.
+    fn sweep_counter_unpruned(
         cache: &GlScoreCache,
-        candidates: &[Vec<usize>],
+        ks: &[usize],
         factor: f64,
-        prefix: &mut Vec<usize>,
-        partial: &mut Vec<f64>,
-        best_choice: &mut Vec<usize>,
-        best_val: &mut f64,
-        leaves: &mut u64,
-        rng: &mut R,
-    ) {
-        let c = prefix.len();
-        if c == candidates.len() {
-            let score = *partial.last().expect("partial always has the root entry");
-            let noisy = factor * score + sample_gumbel(1.0, rng);
-            *leaves += 1;
-            if noisy > *best_val {
-                *best_val = noisy;
-                best_choice.copy_from_slice(prefix);
+        seed: u64,
+    ) -> Vec<usize> {
+        let total: u64 = ks.iter().map(|&k| k as u64).product();
+        let mut choice = vec![0usize; ks.len()];
+        let mut best = choice.clone();
+        let mut best_val = f64::NEG_INFINITY;
+        for leaf in 0..total {
+            let mut rem = leaf;
+            for c in (0..ks.len()).rev() {
+                choice[c] = (rem % ks[c] as u64) as usize;
+                rem /= ks[c] as u64;
             }
-            return;
+            let noisy = factor * cache.glscore_cached(&choice) + gumbel_at(seed, leaf, 1.0);
+            if noisy > best_val {
+                best_val = noisy;
+                best.copy_from_slice(&choice);
+            }
         }
-        for i in 0..candidates[c].len() {
-            let gain = cache.marginal_gain(prefix, c, i);
-            prefix.push(i);
-            partial.push(partial.last().expect("non-empty") + gain);
-            dfs(
-                cache,
-                candidates,
-                factor,
-                prefix,
-                partial,
-                best_choice,
-                best_val,
-                leaves,
-                rng,
-            );
-            prefix.pop();
-            partial.pop();
-        }
+        best
     }
 
     fn table() -> ScoreTable {
@@ -852,6 +510,45 @@ mod tests {
             vec![150.0, 150.0],
         );
         ScoreTable::new(vec![a0, a1, a2])
+    }
+
+    fn three_cluster_table() -> ScoreTable {
+        let a0 = AttrCounts::new(
+            vec![vec![90.0, 10.0], vec![80.0, 120.0], vec![10.0, 40.0]],
+            vec![180.0, 170.0],
+        );
+        let a1 = AttrCounts::new(
+            vec![vec![30.0, 70.0], vec![10.0, 190.0], vec![45.0, 5.0]],
+            vec![85.0, 265.0],
+        );
+        let a2 = AttrCounts::new(
+            vec![vec![50.0, 50.0], vec![100.0, 100.0], vec![25.0, 25.0]],
+            vec![175.0, 175.0],
+        );
+        ScoreTable::new(vec![a0, a1, a2])
+    }
+
+    /// `n_clusters` clusters over `n_attrs` ternary attributes with
+    /// deterministic, irregular counts; with `identical` every attribute
+    /// gets the same counts, so every combination ties on GlScore.
+    fn synthetic_table(n_clusters: usize, n_attrs: usize, identical: bool) -> ScoreTable {
+        let attrs = (0..n_attrs)
+            .map(|a| {
+                let a = if identical { 0 } else { a };
+                let cluster: Vec<Vec<f64>> = (0..n_clusters)
+                    .map(|c| {
+                        (0..3)
+                            .map(|v| ((a * 7 + c * 13 + v * 29 + a * c * v) % 50 + 1) as f64)
+                            .collect()
+                    })
+                    .collect();
+                let marginal = (0..3)
+                    .map(|v| cluster.iter().map(|row| row[v]).sum())
+                    .collect();
+                AttrCounts::new(cluster, marginal)
+            })
+            .collect();
+        ScoreTable::new(attrs)
     }
 
     #[test]
@@ -879,7 +576,7 @@ mod tests {
         let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
         let mut r = StdRng::seed_from_u64(5);
         let eps = Epsilon::new(10_000.0).unwrap();
-        let (sel, _) = select_combination_counted(&st, &candidates, w, eps, &mut r).unwrap();
+        let (sel, _) = select_combination(&st, &candidates, w, eps, &mut r).unwrap();
         // Tied optima (see table()) make combination identity fragile; the
         // achieved score must match the exact optimum.
         let exact = select_combination_exact(&st, &candidates, w);
@@ -889,23 +586,14 @@ mod tests {
         );
     }
 
+    /// At overwhelming ε the pruned sweep must find the unique exact argmax
+    /// — this exercises the skip paths hard (nearly every slice is skipped
+    /// once the optimum has been seen) — and still report all k^|C| leaves.
     #[test]
     fn three_cluster_exact_selection_is_unique_argmax() {
         // With three clusters of distinct sizes the swap symmetry breaks and
         // the argmax is unique: verify identity, not just score.
-        let a0 = AttrCounts::new(
-            vec![vec![90.0, 10.0], vec![80.0, 120.0], vec![10.0, 40.0]],
-            vec![180.0, 170.0],
-        );
-        let a1 = AttrCounts::new(
-            vec![vec![30.0, 70.0], vec![10.0, 190.0], vec![45.0, 5.0]],
-            vec![85.0, 265.0],
-        );
-        let a2 = AttrCounts::new(
-            vec![vec![50.0, 50.0], vec![100.0, 100.0], vec![25.0, 25.0]],
-            vec![175.0, 175.0],
-        );
-        let st = ScoreTable::new(vec![a0, a1, a2]);
+        let st = three_cluster_table();
         let w = Weights::equal();
         let candidates = vec![vec![0usize, 1, 2]; 3];
         let best = select_combination_exact(&st, &candidates, w);
@@ -923,345 +611,19 @@ mod tests {
             }
         }
         assert_eq!(strictly_better, 1, "argmax should be unique here");
-        let mut r = StdRng::seed_from_u64(11);
-        let (sel, _) =
-            select_combination_counted(&st, &candidates, w, Epsilon::new(1e5).unwrap(), &mut r)
-                .unwrap();
-        assert_eq!(sel, best);
-    }
-
-    #[test]
-    fn private_selection_distribution_matches_exponential_mechanism() {
-        // Empirically compare the DFS Gumbel-max sampler against the closed
-        // form softmax over GlScore.
-        let st = table();
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1], vec![0, 1]];
-        let eps = Epsilon::new(0.2).unwrap();
-        let cache = GlScoreCache::build(&st, &candidates, w);
-        let mut logits = Vec::new();
-        for i in 0..2usize {
-            for j in 0..2usize {
-                logits.push(eps.get() / 2.0 * cache.glscore_cached(&[i, j]));
-            }
-        }
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
-        let z: f64 = exps.iter().sum();
-        let probs: Vec<f64> = exps.iter().map(|&e| e / z).collect();
-
-        let n = 40_000;
-        let mut hits = [0usize; 4];
-        let mut r = StdRng::seed_from_u64(6);
-        for _ in 0..n {
-            let (sel, _) = select_combination_counted(&st, &candidates, w, eps, &mut r).unwrap();
-            let idx = sel[0] * 2 + sel[1];
-            hits[idx] += 1;
-        }
-        for (idx, &h) in hits.iter().enumerate() {
-            let emp = h as f64 / n as f64;
-            assert!(
-                (emp - probs[idx]).abs() < 0.015,
-                "combo {idx}: empirical {emp} vs softmax {}",
-                probs[idx]
-            );
-        }
-    }
-
-    #[test]
-    fn dfs_agrees_with_exact_and_draws_one_gumbel_per_combination() {
-        // Three clusters × k = 3 candidates ⇒ 27 combinations. At very large
-        // ε the Gumbel perturbations cannot overturn the score ordering, so
-        // the DFS must reproduce the exhaustive argmax; the leaf counter must
-        // show the full k^|C| enumeration.
-        let a0 = AttrCounts::new(
-            vec![vec![90.0, 10.0], vec![80.0, 120.0], vec![10.0, 40.0]],
-            vec![180.0, 170.0],
-        );
-        let a1 = AttrCounts::new(
-            vec![vec![30.0, 70.0], vec![10.0, 190.0], vec![45.0, 5.0]],
-            vec![85.0, 265.0],
-        );
-        let a2 = AttrCounts::new(
-            vec![vec![50.0, 50.0], vec![100.0, 100.0], vec![25.0, 25.0]],
-            vec![175.0, 175.0],
-        );
-        let st = ScoreTable::new(vec![a0, a1, a2]);
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1, 2]; 3];
-        let mut r = StdRng::seed_from_u64(21);
-        let (sel, leaves) =
-            select_combination_counted(&st, &candidates, w, Epsilon::new(1e7).unwrap(), &mut r)
-                .unwrap();
-        assert_eq!(sel, select_combination_exact(&st, &candidates, w));
-        assert_eq!(leaves, 27, "DFS must visit all k^|C| = 3^3 combinations");
-    }
-
-    #[test]
-    fn dfs_rng_consumption_is_exactly_one_gumbel_per_leaf() {
-        // Twin RNGs from one seed: run the DFS on one, draw the claimed
-        // number of Gumbels from the other by hand. If the streams still
-        // agree afterwards, the DFS consumed *exactly* `leaves` Gumbel draws —
-        // no combination was silently skipped, none double-sampled.
-        let st = table();
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
-        let mut dfs_rng = StdRng::seed_from_u64(22);
-        let mut twin = StdRng::seed_from_u64(22);
-        let (_, leaves) = select_combination_counted(
-            &st,
-            &candidates,
-            w,
-            Epsilon::new(0.7).unwrap(),
-            &mut dfs_rng,
-        )
-        .unwrap();
-        assert_eq!(leaves, 9, "k^|C| = 3^2");
-        for _ in 0..leaves {
-            let _ = sample_gumbel(1.0, &mut twin);
-        }
-        assert_eq!(
-            dfs_rng.gen::<u64>(),
-            twin.gen::<u64>(),
-            "RNG streams diverged: DFS draw count differs from its leaf count"
-        );
-    }
-
-    /// Twin-RNG equivalence: the iterative enumerator and the recursive DFS
-    /// reference, run from identically seeded RNGs, must visit the same
-    /// number of leaves, pick the same combination, and leave their RNGs in
-    /// the same state (⇒ they drew the identical Gumbel stream).
-    #[test]
-    fn iterative_enumerator_matches_recursive_dfs_stream() {
-        let st = table();
-        let w = Weights::equal();
-        // Ragged candidate sets (different k per cluster) and ε spanning the
-        // noise-dominated regime, so argmax agreement is a real check.
-        let cases: Vec<Vec<Vec<usize>>> = vec![
-            vec![vec![0, 1, 2], vec![0, 1, 2]],
-            vec![vec![0, 1], vec![2, 0, 1]],
-            vec![vec![2, 0], vec![1]],
-        ];
-        for candidates in &cases {
-            let expect_leaves: u64 = candidates.iter().map(|s| s.len() as u64).product();
-            for seed in [1u64, 5, 9, 13, 2025] {
-                for eps in [0.3, 5.0, 1e6] {
-                    let eps = Epsilon::new(eps).unwrap();
-                    let mut it_rng = StdRng::seed_from_u64(seed);
-                    let mut rec_rng = StdRng::seed_from_u64(seed);
-                    let (it_sel, it_leaves) =
-                        select_combination_counted(&st, candidates, w, eps, &mut it_rng).unwrap();
-                    let (rec_sel, rec_leaves) =
-                        select_combination_counted_recursive(&st, candidates, w, eps, &mut rec_rng)
-                            .unwrap();
-                    assert_eq!(it_leaves, expect_leaves, "iterative leaf count");
-                    assert_eq!(rec_leaves, expect_leaves, "recursive leaf count");
-                    assert_eq!(it_sel, rec_sel, "argmax diverged at seed {seed}");
-                    assert_eq!(
-                        it_rng.gen::<u64>(),
-                        rec_rng.gen::<u64>(),
-                        "RNG streams diverged at seed {seed}: different Gumbel draws"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Three-cluster twin-RNG check (`k^|C|` = 27 leaves) — exercises
-    /// multi-level odometer carries and gain-slice refreshes.
-    #[test]
-    fn iterative_enumerator_matches_recursive_dfs_three_clusters() {
-        let a0 = AttrCounts::new(
-            vec![vec![90.0, 10.0], vec![80.0, 120.0], vec![10.0, 40.0]],
-            vec![180.0, 170.0],
-        );
-        let a1 = AttrCounts::new(
-            vec![vec![30.0, 70.0], vec![10.0, 190.0], vec![45.0, 5.0]],
-            vec![85.0, 265.0],
-        );
-        let a2 = AttrCounts::new(
-            vec![vec![50.0, 50.0], vec![100.0, 100.0], vec![25.0, 25.0]],
-            vec![175.0, 175.0],
-        );
-        let st = ScoreTable::new(vec![a0, a1, a2]);
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1, 2]; 3];
-        for seed in [3u64, 21, 77] {
-            let eps = Epsilon::new(0.8).unwrap();
-            let mut it_rng = StdRng::seed_from_u64(seed);
-            let mut rec_rng = StdRng::seed_from_u64(seed);
-            let (it_sel, it_leaves) =
-                select_combination_counted(&st, &candidates, w, eps, &mut it_rng).unwrap();
-            let (rec_sel, rec_leaves) =
-                select_combination_counted_recursive(&st, &candidates, w, eps, &mut rec_rng)
+        for (seed, eps) in [(11u64, 1e5), (33, 1e7)] {
+            let mut r = StdRng::seed_from_u64(seed);
+            let (sel, leaves) =
+                select_combination(&st, &candidates, w, Epsilon::new(eps).unwrap(), &mut r)
                     .unwrap();
-            assert_eq!(it_leaves, 27);
-            assert_eq!(rec_leaves, 27);
-            assert_eq!(it_sel, rec_sel, "seed {seed}");
-            assert_eq!(it_rng.gen::<u64>(), rec_rng.gen::<u64>(), "seed {seed}");
+            assert_eq!(sel, best, "seed {seed}");
+            assert_eq!(leaves, 27, "k^|C| = 3^3 leaves");
         }
     }
 
-    #[test]
-    fn empty_candidate_sets_rejected() {
-        let st = table();
-        let mut r = StdRng::seed_from_u64(7);
-        assert!(select_combination_counted(
-            &st,
-            &[vec![0], vec![]],
-            Weights::equal(),
-            Epsilon::new(1.0).unwrap(),
-            &mut r
-        )
-        .is_err());
-        let mut r2 = StdRng::seed_from_u64(7);
-        assert!(select_combination_counter(
-            &st,
-            &[vec![0], vec![]],
-            Weights::equal(),
-            Epsilon::new(1.0).unwrap(),
-            2,
-            &mut r2
-        )
-        .is_err());
-    }
-
-    fn three_cluster_table() -> ScoreTable {
-        let a0 = AttrCounts::new(
-            vec![vec![90.0, 10.0], vec![80.0, 120.0], vec![10.0, 40.0]],
-            vec![180.0, 170.0],
-        );
-        let a1 = AttrCounts::new(
-            vec![vec![30.0, 70.0], vec![10.0, 190.0], vec![45.0, 5.0]],
-            vec![85.0, 265.0],
-        );
-        let a2 = AttrCounts::new(
-            vec![vec![50.0, 50.0], vec![100.0, 100.0], vec![25.0, 25.0]],
-            vec![175.0, 175.0],
-        );
-        ScoreTable::new(vec![a0, a1, a2])
-    }
-
-    /// Satellite: `CounterParallel` must be bit-identical to `CounterSerial`
-    /// for every thread count — including thread counts exceeding the leaf
-    /// count, candidate sets with single-candidate levels, and the degenerate
-    /// 1-leaf space.
-    #[test]
-    fn counter_parallel_bit_identical_to_serial_across_thread_counts() {
-        let two = table();
-        let three = three_cluster_table();
-        let cases: Vec<(&ScoreTable, Vec<Vec<usize>>)> = vec![
-            (&three, vec![vec![0, 1, 2]; 3]),
-            (&two, vec![vec![0, 1], vec![2, 0, 1]]),
-            (&two, vec![vec![2, 0], vec![1]]), // single-candidate level
-            (&two, vec![vec![1], vec![0]]),    // 1-leaf space
-            (&three, vec![vec![2]; 3]),        // 1-leaf, three levels
-        ];
-        let w = Weights::equal();
-        for (st, candidates) in &cases {
-            let leaves: usize = candidates.iter().map(Vec::len).product();
-            for eps in [0.3, 5.0, 1e6] {
-                let eps = Epsilon::new(eps).unwrap();
-                for seed in [1u64, 17, 2026] {
-                    let mut serial_rng = StdRng::seed_from_u64(seed);
-                    let (serial_sel, serial_leaves) =
-                        select_combination_counter(st, candidates, w, eps, 1, &mut serial_rng)
-                            .unwrap();
-                    assert_eq!(serial_leaves, leaves as u64);
-                    for threads in [2usize, 7, leaves + 3] {
-                        let mut par_rng = StdRng::seed_from_u64(seed);
-                        let (par_sel, par_leaves) = select_combination_counter(
-                            st,
-                            candidates,
-                            w,
-                            eps,
-                            threads,
-                            &mut par_rng,
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            par_sel, serial_sel,
-                            "threads={threads} seed={seed} diverged from serial"
-                        );
-                        assert_eq!(par_leaves, serial_leaves);
-                        assert_eq!(
-                            par_rng.gen::<u64>(),
-                            serial_rng.clone().gen::<u64>(),
-                            "kernels must consume identical RNG draws"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Satellite: `Odometer::seek(i)` must reproduce — bit for bit — the
-    /// state (choice vector, gain slices, prefix sums) the serial sweep
-    /// reaches at leaf `i` by carrying from leaf 0, for random indices.
-    #[test]
-    fn odometer_seek_reproduces_serial_sweep_state() {
-        let st = three_cluster_table();
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1], vec![0, 1, 2], vec![2, 0]];
-        let cache = GlScoreCache::build(&st, &candidates, w);
-        let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
-        let total: u64 = ks.iter().map(|&k| k as u64).product();
-        let k_last = *ks.last().unwrap() as u64;
-
-        // Reference: walk every slice serially, recording the state at each
-        // slice start.
-        type OdometerState = (Vec<usize>, Vec<Vec<f64>>, Vec<f64>);
-        let mut serial = Odometer::seek(&cache, &ks, 0);
-        let mut states: Vec<OdometerState> = Vec::new();
-        loop {
-            states.push((
-                serial.choice.clone(),
-                serial.gains.clone(),
-                serial.prefix_sum.clone(),
-            ));
-            if !serial.carry() {
-                break;
-            }
-        }
-        assert_eq!(states.len() as u64, total / k_last);
-
-        let mut r = StdRng::seed_from_u64(404);
-        for _ in 0..50 {
-            let leaf = r.gen_range(0..total);
-            let seeked = Odometer::seek(&cache, &ks, leaf);
-            let (ref choice, ref gains, ref prefix) = states[(leaf / k_last) as usize];
-            assert_eq!(
-                &seeked.choice[..ks.len() - 1],
-                &choice[..ks.len() - 1],
-                "prefix digits at leaf {leaf}"
-            );
-            assert_eq!(
-                seeked.choice[ks.len() - 1] as u64,
-                leaf % k_last,
-                "last digit at leaf {leaf}"
-            );
-            for (c, (sg, rg)) in seeked.gains.iter().zip(gains).enumerate() {
-                for (i, (a, b)) in sg.iter().zip(rg).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "gains[{c}][{i}] differ at leaf {leaf}"
-                    );
-                }
-            }
-            for (c, (a, b)) in seeked.prefix_sum.iter().zip(prefix).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "prefix_sum[{c}] differs at leaf {leaf}"
-                );
-            }
-        }
-    }
-
-    /// Satellite: the counter-based sampler realizes the exponential-
-    /// mechanism distribution — same harness as the streaming kernel's
-    /// distribution test, compared against the closed-form softmax.
+    /// The counter kernel realizes the exponential-mechanism distribution:
+    /// its empirical selection frequencies, and the streaming reference's,
+    /// both match the closed-form softmax over GlScore.
     #[test]
     fn counter_kernel_distribution_matches_exponential_mechanism() {
         let st = table();
@@ -1280,154 +642,115 @@ mod tests {
         let z: f64 = exps.iter().sum();
         let probs: Vec<f64> = exps.iter().map(|&e| e / z).collect();
 
-        for kernel in [
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(3),
-        ] {
+        type Sampler = fn(&ScoreTable, &[Vec<usize>], Weights, Epsilon, &mut StdRng) -> Vec<usize>;
+        let samplers: [(&str, Sampler); 2] = [
+            ("counter", |st, cands, w, eps, r| {
+                select_combination(st, cands, w, eps, r).unwrap().0
+            }),
+            ("streaming", |st, cands, w, eps, r| {
+                select_combination_counted(st, cands, w, eps, r).0
+            }),
+        ];
+        for (name, sample) in samplers {
             let n = 40_000;
             let mut hits = [0usize; 4];
             let mut r = StdRng::seed_from_u64(6);
             for _ in 0..n {
-                let (sel, _) =
-                    select_combination(&st, &candidates, w, eps, kernel, &mut r).unwrap();
+                let sel = sample(&st, &candidates, w, eps, &mut r);
                 hits[sel[0] * 2 + sel[1]] += 1;
             }
             for (idx, &h) in hits.iter().enumerate() {
                 let emp = h as f64 / n as f64;
                 assert!(
                     (emp - probs[idx]).abs() < 0.015,
-                    "{}: combo {idx}: empirical {emp} vs softmax {}",
-                    kernel.label(),
+                    "{name}: combo {idx}: empirical {emp} vs softmax {}",
                     probs[idx]
                 );
             }
         }
     }
 
-    /// At overwhelming ε the pruned counter sweep must still find the exact
-    /// argmax — this exercises the branch-and-bound skip path hard (nearly
-    /// every slice is skipped once the optimum has been seen).
+    /// The branch-and-bound pruning is exact: the pruned sweep picks the
+    /// same leaf as the unpruned oracle for every seed, across ε from
+    /// noise-dominated to score-dominated, on 2-, 3- and 5-cluster tables,
+    /// ragged candidate sets, and a table on which every combination ties.
     #[test]
-    fn counter_kernel_matches_exact_at_high_epsilon() {
-        let st = three_cluster_table();
+    fn pruned_sweep_matches_unpruned_oracle() {
         let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1, 2]; 3];
-        let exact = select_combination_exact(&st, &candidates, w);
-        for threads in [1usize, 4] {
-            let mut r = StdRng::seed_from_u64(33);
-            let (sel, leaves) = select_combination_counter(
-                &st,
-                &candidates,
-                w,
-                Epsilon::new(1e7).unwrap(),
-                threads,
-                &mut r,
-            )
-            .unwrap();
-            assert_eq!(sel, exact, "threads={threads}");
-            assert_eq!(leaves, 27);
+        let cases: Vec<(ScoreTable, Vec<Vec<usize>>)> = vec![
+            (table(), vec![vec![0, 1, 2], vec![0, 1, 2]]),
+            (table(), vec![vec![0, 1], vec![2, 0, 1]]),
+            (table(), vec![vec![2, 0], vec![1]]),
+            (three_cluster_table(), vec![vec![0, 1, 2]; 3]),
+            (three_cluster_table(), vec![vec![2]; 3]),
+            (synthetic_table(5, 4, false), vec![vec![0, 1, 2]; 5]),
+            (
+                synthetic_table(5, 4, false),
+                vec![
+                    vec![3, 1],
+                    vec![0, 1, 2, 3],
+                    vec![2],
+                    vec![1, 0, 3],
+                    vec![3, 2],
+                ],
+            ),
+            (synthetic_table(5, 3, true), vec![vec![0, 1, 2]; 5]),
+            (synthetic_table(3, 3, true), vec![vec![0, 1, 2]; 3]),
+        ];
+        for (st, candidates) in &cases {
+            let cache = GlScoreCache::build(st, candidates, w);
+            let ks: Vec<usize> = candidates.iter().map(Vec::len).collect();
+            for eps in [0.01, 0.1, 1.0, 10.0] {
+                let factor = eps / 2.0;
+                for seed in 0..200u64 {
+                    let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    assert_eq!(
+                        sweep_counter(&cache, &ks, factor, seed),
+                        sweep_counter_unpruned(&cache, &ks, factor, seed),
+                        "ks={ks:?} eps={eps} seed={seed}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn counter_kernels_consume_exactly_one_seed_draw() {
+    fn counter_kernel_consumes_exactly_one_seed_draw() {
         let st = table();
         let w = Weights::equal();
         let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
-        for threads in [1usize, 4] {
-            let mut kernel_rng = StdRng::seed_from_u64(91);
-            let mut twin = StdRng::seed_from_u64(91);
-            select_combination_counter(
-                &st,
-                &candidates,
-                w,
-                Epsilon::new(0.5).unwrap(),
-                threads,
-                &mut kernel_rng,
-            )
-            .unwrap();
-            let _ = twin.gen::<u64>(); // the PRF seed
-            assert_eq!(
-                kernel_rng.gen::<u64>(),
-                twin.gen::<u64>(),
-                "counter kernel must consume exactly one u64 (threads={threads})"
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_dispatch_sequential_matches_streaming_reference() {
-        let st = table();
-        let w = Weights::equal();
-        let candidates = vec![vec![0usize, 1, 2], vec![0, 1, 2]];
-        let eps = Epsilon::new(0.7).unwrap();
-        let mut a = StdRng::seed_from_u64(55);
-        let mut b = StdRng::seed_from_u64(55);
-        let via_kernel = select_combination(
+        let mut kernel_rng = StdRng::seed_from_u64(91);
+        let mut twin = StdRng::seed_from_u64(91);
+        let (_, leaves) = select_combination(
             &st,
             &candidates,
             w,
-            eps,
-            Stage2Kernel::SequentialRng,
-            &mut a,
+            Epsilon::new(0.5).unwrap(),
+            &mut kernel_rng,
         )
         .unwrap();
-        let direct = select_combination_counted(&st, &candidates, w, eps, &mut b).unwrap();
-        assert_eq!(via_kernel, direct);
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        assert_eq!(leaves, 9, "k^|C| = 3^2");
+        let _ = twin.gen::<u64>(); // the PRF seed
+        assert_eq!(
+            kernel_rng.gen::<u64>(),
+            twin.gen::<u64>(),
+            "the counter kernel must consume exactly one u64"
+        );
     }
 
     #[test]
-    fn stage2_kernel_parse_and_label_round_trip() {
-        assert_eq!(
-            Stage2Kernel::parse("seq").unwrap(),
-            Stage2Kernel::SequentialRng
-        );
-        assert_eq!(
-            Stage2Kernel::parse("sequential-rng").unwrap(),
-            Stage2Kernel::SequentialRng
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter").unwrap(),
-            Stage2Kernel::CounterSerial
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-par").unwrap(),
-            Stage2Kernel::CounterParallel(0)
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-par/4").unwrap(),
-            Stage2Kernel::CounterParallel(4)
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-parallel/2").unwrap(),
-            Stage2Kernel::CounterParallel(2)
-        );
-        for bad in ["", "gumbel", "seq/2", "counter-par/0", "counter-par/x"] {
-            assert!(Stage2Kernel::parse(bad).is_err(), "{bad:?} should fail");
-        }
-        assert_eq!(Stage2Kernel::SequentialRng.label(), "sequential-rng");
-        assert_eq!(Stage2Kernel::CounterSerial.label(), "counter-serial");
-        assert_eq!(
-            Stage2Kernel::CounterParallel(4).label(),
-            "counter-parallel/4"
-        );
-        assert_eq!(
-            Stage2Kernel::CounterParallel(0).label(),
-            "counter-parallel/auto"
-        );
-        assert_eq!(
-            Stage2Kernel::parse("counter-par/auto").unwrap(),
-            Stage2Kernel::CounterParallel(0)
-        );
-        for kernel in [
-            Stage2Kernel::SequentialRng,
-            Stage2Kernel::CounterSerial,
-            Stage2Kernel::CounterParallel(0),
-            Stage2Kernel::CounterParallel(4),
-        ] {
-            assert_eq!(Stage2Kernel::parse(&kernel.label()), Ok(kernel));
-        }
+    fn bad_candidate_sets_are_errors_that_draw_nothing() {
+        let st = synthetic_table(41, 3, false);
+        let eps = Epsilon::new(1.0).unwrap();
+        let mut r = StdRng::seed_from_u64(7);
+        let mut twin = r.clone();
+        let empty = select_combination(&table(), &[vec![0], vec![]], Weights::equal(), eps, &mut r);
+        assert_eq!(empty, Err(DpError::EmptyCandidateSet));
+        // 3^41 > u64::MAX: refused before any enumeration.
+        let candidates = vec![vec![0usize, 1, 2]; 41];
+        let overflow = select_combination(&st, &candidates, Weights::equal(), eps, &mut r);
+        assert_eq!(overflow, Err(DpError::CombinationSpaceOverflow));
+        assert_eq!(r.gen::<u64>(), twin.gen::<u64>());
     }
 
     fn small_dataset() -> (Dataset, Vec<usize>) {

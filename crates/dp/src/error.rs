@@ -51,6 +51,9 @@ pub enum DpError {
         /// Why the cancellation fired (e.g. `deadline_exceeded`).
         reason: String,
     },
+    /// A selection space has more candidates than a `u64` can index (e.g.
+    /// Stage 2's `k^|C|` attribute combinations at many clusters).
+    CombinationSpaceOverflow,
     /// The durable ε ledger could not persist a grant. The spend is rejected:
     /// accepting it would let output exist with no durable record of its ε.
     LedgerWrite {
@@ -90,6 +93,7 @@ impl fmt::Display for DpError {
             DpError::InvalidSplit { parts } => {
                 write!(f, "cannot split a budget into {parts} parts")
             }
+            DpError::CombinationSpaceOverflow => write!(f, "combination space exceeds u64"),
             DpError::Cancelled { reason } => write!(f, "cancelled: {reason}"),
             DpError::LedgerWrite { message } => {
                 write!(f, "budget ledger write failed: {message}")

@@ -17,8 +17,8 @@
 //!   into **one reusable accumulator** (per-thread table reuse), partials
 //!   combined with a balanced [`pairwise_merge`] tree. With an associative,
 //!   commutative fold and merge (element-wise `u64` addition in the counts
-//!   kernel, an argmax with a total tie-break in Stage 2) the reduction is
-//!   exactly the sequential result for every thread count.
+//!   kernel) the reduction is exactly the sequential result for every
+//!   thread count.
 //! * [`ordered_parallel_map_catch`] — the serving-pool variant of the map:
 //!   per-item panic isolation (a panicking item becomes its own `Err` slot,
 //!   every other item still runs), same ordered, deterministic output.

@@ -12,10 +12,10 @@
 //!   is a single atomic operation — there is no TOCTOU window through which
 //!   two racing requests could jointly breach the dataset's ε cap.
 //! * [`ExplainRequest`] / [`ExplainResponse`] — the JSONL wire format. Each
-//!   request carries its own seed, ε split, weights, and Stage-2 kernel;
-//!   each response carries the explanation plus per-stage observer summaries,
-//!   serialized so that sorted response lines are byte-identical for every
-//!   worker count (wall-clock and scheduling-dependent fields are excluded).
+//!   request carries its own seed, ε split, and weights; each response
+//!   carries the explanation plus per-stage observer summaries, serialized
+//!   so that sorted response lines are byte-identical for every worker
+//!   count (wall-clock and scheduling-dependent fields are excluded).
 //! * [`ExplainService`] — the batch executor on the runtime crate's
 //!   counter-claimed job queue: requests are claimed in input order by up to
 //!   N workers, responses land in input-order slots, and a panicking request

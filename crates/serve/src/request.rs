@@ -47,8 +47,8 @@ pub enum RequestOp {
 /// One explanation request, as decoded from a JSONL line.
 ///
 /// Only `id` is required; every other field has the CLI's default. Weights
-/// are accepted as a three-element array `[int, suf, div]` and normalized,
-/// and `stage2_kernel` takes the CLI's `seq|counter|counter-par[/N]` syntax.
+/// are accepted as a three-element array `[int, suf, div]` and normalized.
+/// Unrecognized keys are ignored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRequest {
     /// Caller-chosen request identifier (echoed in the response; responses
@@ -73,7 +73,8 @@ pub struct ExplainRequest {
     pub eps_hist: Option<f64>,
     /// Quality-measure weights λ.
     pub weights: Weights,
-    /// Stage-2 combination-search kernel.
+    /// Never parsed, rendered or read; see [`Stage2Kernel`].
+    #[doc(hidden)]
     pub stage2_kernel: Stage2Kernel,
     /// Apply the partition-consistency projection to released histograms.
     pub consistency: bool,
@@ -103,7 +104,7 @@ impl ExplainRequest {
             eps_comb: 0.1,
             eps_hist: Some(0.1),
             weights: Weights::equal(),
-            stage2_kernel: Stage2Kernel::default(),
+            stage2_kernel: Stage2Kernel,
             consistency: false,
             deadline_ms: None,
             op: RequestOp::Explain,
@@ -235,12 +236,6 @@ impl ExplainRequest {
         if let Some(w) = v.get("weights") {
             req.weights = parse_weights(w)?;
         }
-        if let Some(kern) = v.get("stage2_kernel") {
-            let text = kern
-                .as_str()
-                .ok_or_else(|| "'stage2_kernel' must be a string".to_string())?;
-            req.stage2_kernel = Stage2Kernel::parse(text)?;
-        }
         if let Some(c) = v.get("consistency") {
             req.consistency = c
                 .as_bool()
@@ -335,7 +330,6 @@ impl ExplainRequest {
                     Json::Num(self.weights.div),
                 ],
             )
-            .field("stage2_kernel", self.stage2_kernel.label())
             .field("consistency", self.consistency);
         if let Some(d) = self.deadline_ms {
             obj = obj.field("deadline_ms", d);
@@ -780,24 +774,25 @@ mod tests {
     fn full_request_roundtrips() {
         let line = r#"{"id":3,"dataset":"patients","seed":41,"cluster_by":2,"n_clusters":4,
                        "k":2,"eps_cand":0.2,"eps_comb":0.3,"eps_hist":null,
-                       "weights":[2,1,1],"stage2_kernel":"counter","consistency":true}"#
+                       "weights":[2,1,1],"consistency":true}"#
             .replace('\n', " ");
         let req = ExplainRequest::from_json_line(&line).unwrap();
         assert_eq!(req.dataset, "patients");
         assert_eq!(req.seed, 41);
         assert_eq!(req.eps_hist, None);
         assert!((req.weights.int - 0.5).abs() < 1e-12);
-        assert_eq!(req.stage2_kernel, Stage2Kernel::CounterSerial);
         assert!(req.consistency);
         let reparsed = ExplainRequest::from_json_line(&req.to_json_line()).unwrap();
         assert_eq!(reparsed, req);
-        // Every kernel survives a render-and-reparse, including the
-        // auto-threaded counter-parallel one.
-        for kernel in ["seq", "counter", "counter-par", "counter-par/4"] {
-            let line = format!(r#"{{"id":1,"stage2_kernel":"{kernel}"}}"#);
-            let req = ExplainRequest::from_json_line(&line).unwrap();
-            let reparsed = ExplainRequest::from_json_line(&req.to_json_line()).unwrap();
-            assert_eq!(reparsed, req, "{kernel}");
+        // The retired kernel selector is an unrecognized key like any other.
+        for line in [
+            r#"{"id":1,"stage2_kernel":"counter-par/4"}"#,
+            r#"{"id":1,"frobnicate":7}"#,
+        ] {
+            assert_eq!(
+                ExplainRequest::from_json_line(line).unwrap(),
+                ExplainRequest::new(1)
+            );
         }
     }
 
@@ -808,7 +803,6 @@ mod tests {
             (r#"{"id": -1}"#, "'id'"),
             (r#"{"id": 1, "weights": [1, 2]}"#, "three elements"),
             (r#"{"id": 1, "weights": [0, 0, 0]}"#, "positive sum"),
-            (r#"{"id": 1, "stage2_kernel": "fourier"}"#, "kernel"),
             (r#"{"id": 1, "eps_cand": "a lot"}"#, "'eps_cand'"),
             (r#"[1, 2]"#, "must be a JSON object"),
             (r#"{"id": 1"#, "expected"),

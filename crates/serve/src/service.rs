@@ -351,6 +351,20 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
         if request.n_clusters == 0 {
             return Err(ServeFailure::plain("n_clusters must be positive"));
         }
+        // Stage 2 indexes the k^n_clusters combinations with a u64; refuse a
+        // space that does not fit here, before the grant, at zero ε.
+        if u32::try_from(request.n_clusters)
+            .ok()
+            .and_then(|n| (request.k as u64).checked_pow(n))
+            .is_none()
+        {
+            return Err(ServeFailure::plain(format!(
+                "k^n_clusters = {}^{}: {}",
+                request.k,
+                request.n_clusters,
+                DpError::CombinationSpaceOverflow
+            )));
+        }
         if request.cluster_by >= entry.data().schema().arity() {
             return Err(ServeFailure::plain(format!(
                 "cluster_by {} out of range (dataset has {} attributes)",
@@ -421,8 +435,7 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
             request.seed,
             entry.cache(),
         );
-        let mut engine =
-            ExplainEngine::new(request.config()).with_stage2_kernel(request.stage2_kernel);
+        let mut engine = ExplainEngine::new(request.config());
         if let Some(token) = cancel {
             engine = engine.with_cancel(token);
         }
@@ -561,7 +574,8 @@ mod tests {
 
     #[test]
     fn unknown_dataset_and_bad_fields_become_error_responses() {
-        let service = ExplainService::new(registry_with("default", None));
+        let registry = registry_with("default", None);
+        let service = ExplainService::new(Arc::clone(&registry));
         let mut req = ExplainRequest::new(1);
         req.dataset = "elsewhere".to_string();
         let response = service.execute(&req);
@@ -587,6 +601,14 @@ mod tests {
         req.eps_hist = None; // selection-only config cannot drive the full pipeline
         let err = service.execute(&req).outcome.unwrap_err();
         assert!(err.contains("epsilon"), "got: {err}");
+
+        // 3^41 Stage-2 combinations overflow u64: refused before the grant.
+        let spent = registry.get("default").unwrap().accountant().spent();
+        let mut req = ExplainRequest::new(5);
+        req.n_clusters = 41;
+        let err = service.execute(&req).outcome.unwrap_err();
+        assert!(err.contains("exceeds u64"), "got: {err}");
+        assert_eq!(registry.get("default").unwrap().accountant().spent(), spent);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::Duration;
 const BATCH: &str = r#"
 {"id": 1, "seed": 41, "cluster_by": 0, "n_clusters": 3}
 {"id": 2, "seed": 42, "cluster_by": 2, "n_clusters": 2}
-{"id": 3, "seed": 43, "cluster_by": 0, "n_clusters": 3, "stage2_kernel": "counter"}
+{"id": 3, "seed": 43, "cluster_by": 0, "n_clusters": 3}
 "#;
 
 fn ledger_dir(tag: &str) -> PathBuf {
