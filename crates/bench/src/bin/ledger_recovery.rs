@@ -2,12 +2,8 @@
 //! history of N records, full-history replay vs checkpointed recovery, with
 //! the recovered spend asserted **bit-identical** between the two before any
 //! timing is trusted (a faster recovery that lands on a different ε is not a
-//! result — it is a correctness bug).
-//!
-//! Also reports the composition-aware replay dividend: the flat sum the
-//! pre-v2 ledger would have reconstructed vs the tight
-//! sequential-plus-max-per-group bound the v2 format replays, i.e. how much
-//! ε a restart reclaims for the analysts.
+//! result — it is a correctness bug), and equal to a left fold of the
+//! generated grants.
 //!
 //! Emits `BENCH_ledger.json` (default `results/BENCH_ledger.json`, override
 //! with `--out`):
@@ -18,64 +14,34 @@
 //! ```
 
 use dpx_bench::{Args, Json};
-use dpx_dp::ledger::{CheckpointRecord, GrantRecord, GroupSnapshot, LedgerWriter};
+use dpx_dp::ledger::{CheckpointRecord, GrantRecord, LedgerWriter};
 use dpx_dp::SharedAccountant;
 use std::path::Path;
 use std::time::Instant;
 
-/// The grant mix: every fourth grant is a parallel-composition member over
-/// four cycling partition groups, the rest compose sequentially. ε varies so
-/// replay order matters and the bit-exactness assertion has teeth.
+/// The grant history: one grant per request. ε varies so replay order
+/// matters and the bit-exactness assertion has teeth.
 fn history(n: usize) -> Vec<GrantRecord> {
     (0..n)
-        .map(|i| {
-            let epsilon = 0.001 + (i % 17) as f64 * 0.0001;
-            let group = if i % 4 == 0 {
-                Some(format!("region/{}", i % 4 + (i / 4) % 4))
-            } else {
-                None
-            };
-            GrantRecord {
-                request_id: i as u64 + 1,
-                epsilon,
-                label: format!("request/{}", i + 1),
-                group,
-            }
-        })
+        .map(|i| GrantRecord::for_request(i as u64 + 1, 0.001 + (i % 17) as f64 * 0.0001))
         .collect()
 }
 
-/// The checkpoint record a live accountant would have written after the
-/// first `upto` grants: the left-fold sequential partial sum, the granted
-/// ids, and the per-group maxima in group-creation order — exactly the
-/// state `Recovery::spent` seeds its fold with.
-fn checkpoint_after(grants: &[GrantRecord], upto: usize) -> CheckpointRecord {
-    let prefix = &grants[..upto];
-    let mut seq_spent = 0.0f64;
-    let mut groups: Vec<GroupSnapshot> = Vec::new();
-    for g in prefix {
-        match g.group.as_deref() {
-            None => seq_spent += g.epsilon,
-            Some(name) => match groups.iter_mut().find(|s| s.name == name) {
-                Some(s) => s.max = s.max.max(g.epsilon),
-                None => groups.push(GroupSnapshot {
-                    name: name.to_string(),
-                    max: g.epsilon,
-                }),
-            },
-        }
-    }
-    CheckpointRecord {
-        seq_spent,
-        granted: prefix.iter().map(|g| g.request_id).collect(),
-        groups,
-    }
+/// The left fold of `grants`' ε in order — the spend every recovery must
+/// reproduce bit for bit.
+fn fold_spent(grants: &[GrantRecord]) -> f64 {
+    grants.iter().fold(0.0, |acc, g| acc + g.epsilon)
 }
 
-/// The conservative flat-sum bound the v1 ledger replayed: every grant
-/// added, parallel composition ignored.
-fn flat_sum(grants: &[GrantRecord]) -> f64 {
-    grants.iter().map(|g| g.epsilon).sum()
+/// The checkpoint record a live accountant would have written after the
+/// first `upto` grants: the left-fold partial sum and the granted ids —
+/// exactly the state `Recovery::spent` seeds its fold with.
+fn checkpoint_after(grants: &[GrantRecord], upto: usize) -> CheckpointRecord {
+    let prefix = &grants[..upto];
+    CheckpointRecord {
+        seq_spent: fold_spent(prefix),
+        granted: prefix.iter().map(|g| g.request_id).collect(),
+    }
 }
 
 /// Best-of-`runs` wall time of a cold open-to-serving recovery: parse and
@@ -140,25 +106,24 @@ fn main() {
         let (full_s, full_spent, full_replayed) = time_recovery(&full_path, runs);
         let (ckpt_s, ckpt_spent, ckpt_replayed) = time_recovery(&ckpt_path, runs);
 
-        // Correctness before timing: both recoveries land on the same bits,
-        // and that spend matches an in-memory replay of the tight bound.
+        // Correctness before timing: both recoveries land on the bits of a
+        // left fold over the generated grants.
+        let expected = fold_spent(&grants);
         assert_eq!(
             full_spent.to_bits(),
-            ckpt_spent.to_bits(),
-            "n={n}: checkpointed recovery diverged from full-history replay"
+            expected.to_bits(),
+            "n={n}: full-history replay diverged from the left fold"
         );
-        let flat = flat_sum(&grants);
-        let reclaimed = flat - full_spent;
-        assert!(
-            reclaimed > 0.0,
-            "n={n}: the grant mix must exercise parallel composition"
+        assert_eq!(
+            ckpt_spent.to_bits(),
+            expected.to_bits(),
+            "n={n}: checkpointed recovery diverged from the left fold"
         );
 
         let speedup = full_s / ckpt_s;
         eprintln!(
             "# {n:>7} grants: full {full_s:.4}s ({full_replayed} records) vs \
-             checkpointed {ckpt_s:.4}s ({ckpt_replayed} records) — {speedup:.1}x; \
-             tight ε {full_spent:.3} reclaims {reclaimed:.3} over flat {flat:.3}"
+             checkpointed {ckpt_s:.4}s ({ckpt_replayed} records) — {speedup:.1}x"
         );
         if n >= 100_000 {
             assert!(
@@ -178,10 +143,7 @@ fn main() {
                 .field("checkpointed_recover_s", ckpt_s)
                 .field("checkpointed_records_replayed", ckpt_replayed as usize)
                 .field("checkpointed_wal_bytes", ckpt_bytes as usize)
-                .field("speedup", speedup)
-                .field("spent_tight", full_spent)
-                .field("spent_flat", flat)
-                .field("eps_reclaimed", reclaimed),
+                .field("speedup", speedup),
         );
     }
 

@@ -38,7 +38,7 @@ use crate::counts::ScoreTable;
 use crate::framework::{DpClustXConfig, Outcome};
 use crate::stage2::Stage2Kernel;
 use dpx_data::contingency::ClusteredCounts;
-use dpx_data::{hash_labels, Dataset, Schema};
+use dpx_data::{Dataset, Schema};
 use dpx_dp::budget::{Accountant, Epsilon};
 use dpx_dp::histogram::{GeometricHistogram, HistogramMechanism};
 use dpx_dp::DpError;
@@ -60,7 +60,7 @@ use std::time::Instant;
 pub struct CountsKey {
     /// [`Dataset::fingerprint`] of the clustered dataset.
     pub dataset_fingerprint: u64,
-    /// [`hash_labels`] of the cluster assignment (labels and cluster count).
+    /// [`hash_labels`](dpx_data::hash_labels) of the cluster assignment (labels and cluster count).
     pub labels_hash: u64,
 }
 
@@ -356,12 +356,6 @@ impl ExplainContext {
         }
     }
 
-    /// A handle to this context's counts cache (share it with another
-    /// context via [`ExplainContext::with_shared_cache`]).
-    pub fn shared_cache(&self) -> Arc<SharedCountsCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// The dataset under explanation.
     pub fn data(&self) -> &Dataset {
         &self.data
@@ -377,11 +371,6 @@ impl ExplainContext {
         self.fingerprint
     }
 
-    /// The context's master RNG.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// Simultaneous access to the dataset and the RNG — for callers (like the
     /// interactive session) that feed the data into a mechanism drawing from
     /// the context's randomness.
@@ -392,40 +381,6 @@ impl ExplainContext {
     /// Number of memoized clusterings (in the possibly-shared cache).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Drops all memoized tables (from the possibly-shared cache).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// The tables for a clustering: served from cache when the same
-    /// `(dataset, labels)` pair was seen before, built (one data pass) and
-    /// memoized otherwise. The second element reports whether it was a hit.
-    pub fn tables(&mut self, labels: &[usize], n_clusters: usize) -> (Arc<CountedTables>, bool) {
-        self.tables_with(labels, n_clusters, 1)
-    }
-
-    /// [`Self::tables`] with an explicit worker-thread count for the cache
-    /// -miss build path: misses run the chunked count–merge kernel
-    /// ([`ClusteredCounts::build`]), which is bit-identical at every thread
-    /// count — so the cache never distinguishes thread counts.
-    pub fn tables_with(
-        &mut self,
-        labels: &[usize],
-        n_clusters: usize,
-        threads: usize,
-    ) -> (Arc<CountedTables>, bool) {
-        let key = CountsKey {
-            dataset_fingerprint: self.fingerprint,
-            labels_hash: hash_labels(labels, n_clusters),
-        };
-        let data = &self.data;
-        self.cache.get_or_build(key, || {
-            let counts = ClusteredCounts::build(data, labels, n_clusters, threads);
-            let table = ScoreTable::from_clustered_counts(&counts);
-            CountedTables { counts, table }
-        })
     }
 }
 

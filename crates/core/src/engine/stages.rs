@@ -113,7 +113,8 @@ pub trait Stage<M: HistogramMechanism + Sync, R: Rng + ?Sized> {
 }
 
 /// Stage 0: acquire the contingency counts and score table — from the
-/// context cache when possible, by a one-pass scan otherwise. Charges no ε
+/// context cache when possible, by a one-pass scan otherwise — then refuse a
+/// configuration that fails [`DpClustXConfig::validate`]. Charges no ε
 /// (counts are an internal intermediate, never released).
 pub struct BuildCounts;
 
@@ -162,6 +163,11 @@ impl<M: HistogramMechanism + Sync, R: Rng + ?Sized> Stage<M, R> for BuildCounts 
         metrics.push(("n_attributes", tables.counts().n_attributes() as f64));
         metrics.push(("n_clusters", tables.counts().n_clusters() as f64));
         state.tables = Some(tables);
+        // Refuse a configuration a later stage would reject before any of
+        // them draws noise. The counts stay memoized: they cost no ε. The
+        // serving layer skips the grant for exactly the configurations this
+        // check refuses, so it must stay ahead of every mechanism.
+        state.config.validate(state.schema.arity())?;
         Ok(metrics)
     }
 }

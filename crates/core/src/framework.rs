@@ -59,6 +59,26 @@ impl DpClustXConfig {
         self.eps_cand_set + self.eps_top_comb + self.eps_hist.unwrap_or(0.0)
     }
 
+    /// Checks the fields a full run over `n_attributes` attributes would
+    /// reject, in the order its stages reject them and with the same
+    /// [`DpError`]: `eps_cand_set`, `k` in `1..=n_attributes`,
+    /// `eps_top_comb`, and a present, valid `eps_hist`. The engine runs it
+    /// once the counts are built, before any mechanism; a caller that
+    /// reserves the budget before the run calls it first, so a run bound to
+    /// fail spends nothing.
+    pub fn validate(&self, n_attributes: usize) -> Result<(), DpError> {
+        Epsilon::new(self.eps_cand_set)?;
+        if self.k == 0 || self.k > n_attributes {
+            return Err(DpError::NotEnoughCandidates {
+                requested: self.k,
+                available: n_attributes,
+            });
+        }
+        Epsilon::new(self.eps_top_comb)?;
+        Epsilon::new(self.eps_hist.unwrap_or(f64::NAN))?;
+        Ok(())
+    }
+
     /// A selection-only configuration splitting `eps` evenly between the two
     /// selection stages — the setting of the quality experiments (Figures
     /// 5–8), which evaluate the attribute choice and skip histograms.
@@ -261,8 +281,9 @@ mod tests {
     #[test]
     fn full_explain_without_histogram_budget_is_rejected() {
         // A selection-only configuration cannot drive the full pipeline: the
-        // release stage has no budget and must fail loudly (after the two
-        // selection stages), not release histograms with NaN noise.
+        // release stage has no budget, so the run must fail loudly (before
+        // either selection stage draws noise), not release histograms with
+        // NaN noise.
         let (data, labels) = setup(500);
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = DpClustXConfig::selection_only(0.2, 3, Weights::equal());

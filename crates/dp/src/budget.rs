@@ -10,9 +10,7 @@
 //! that it spent exactly the ε it claims (Theorem 5.1).
 
 use crate::error::DpError;
-use crate::ledger::{
-    CheckpointRecord, GrantRecord, GroupSnapshot, LedgerWriter, Recovery, NO_REQUEST,
-};
+use crate::ledger::{CheckpointRecord, GrantRecord, LedgerWriter, Recovery, NO_REQUEST};
 use dpx_runtime::faultpoint::{self, SHARD_PRE_APPEND};
 use dpx_runtime::{BatchWindow, Batcher, CancelToken, Submit};
 use std::collections::HashMap;
@@ -164,9 +162,7 @@ pub struct LedgerMark {
 pub struct Accountant {
     cap: Option<f64>,
     sequential: Vec<Charge>,
-    /// `(group, max ε seen, members)`, in group-creation order. The order is
-    /// load-bearing: [`Accountant::spent`] adds group maxima in it, and
-    /// checkpoint replay reproduces the identical float-addition sequence.
+    /// `(group, max ε seen, members)`, in group-creation order.
     parallel: Vec<(String, f64, Vec<Charge>)>,
     /// Group name → index into `parallel`. Lookup used to be a linear scan
     /// per charge — O(#groups · #charges) across a per-cluster histogram
@@ -223,50 +219,14 @@ impl Accountant {
         });
     }
 
-    /// Parallel-composition counterpart of [`Accountant::charge_replayed`]:
-    /// cap-bypassing replay of a grant into its named group, using the same
-    /// running-max update as the live path so replay is bit-exact.
-    fn charge_replayed_parallel(&mut self, group: String, label: String, epsilon: f64) {
-        let charge = Charge {
-            label,
-            epsilon,
-            kind: ChargeKind::Parallel,
-        };
-        match self.parallel_index.get(&group) {
-            Some(&idx) => {
-                let entry = &mut self.parallel[idx];
-                entry.1 = entry.1.max(epsilon);
-                entry.2.push(charge);
-            }
-            None => {
-                self.parallel_index
-                    .insert(group.clone(), self.parallel.len());
-                self.parallel.push((group, epsilon, vec![charge]));
-            }
-        }
-    }
-
-    /// The sequential partial sum (the left fold [`Accountant::spent`]
-    /// starts from) — what a checkpoint snapshots bit-exactly.
-    fn sequential_spent(&self) -> f64 {
-        self.sequential.iter().map(|c| c.epsilon).sum()
-    }
-
-    /// Snapshots this accountant's composition state (plus the given granted
-    /// request ids) as a checkpoint record. Group maxima are captured in
-    /// creation order so replay adds them back in the same order.
+    /// Snapshots the sequential sum (plus the given granted request ids) as
+    /// a checkpoint record: the exact `f64` the left fold in
+    /// [`Accountant::spent`] reached, so replay continues it bit-exactly.
+    /// Durable accountants only ever record sequential charges.
     fn checkpoint_record(&self, granted: &[u64]) -> CheckpointRecord {
         CheckpointRecord {
-            seq_spent: self.sequential_spent(),
+            seq_spent: self.sequential.iter().map(|c| c.epsilon).sum(),
             granted: granted.to_vec(),
-            groups: self
-                .parallel
-                .iter()
-                .map(|(name, max, _)| GroupSnapshot {
-                    name: name.clone(),
-                    max: *max,
-                })
-                .collect(),
         }
     }
 
@@ -582,15 +542,9 @@ impl SharedAccountant {
     /// A shared accountant that atomically rejects charges once the total
     /// would exceed `cap`.
     pub fn with_cap(cap: Epsilon) -> Self {
-        Self::from_accountant(Accountant::with_cap(cap))
-    }
-
-    /// Wraps an existing ledger (e.g. to continue a session's accounting
-    /// across threads).
-    pub fn from_accountant(accountant: Accountant) -> Self {
         SharedAccountant {
             inner: std::sync::Mutex::new(Ledgered {
-                acc: accountant,
+                acc: Accountant::with_cap(cap),
                 ..Ledgered::default()
             }),
             batcher: Batcher::new(),
@@ -603,13 +557,10 @@ impl SharedAccountant {
     /// accounting must never err in. A recovered spend at or above the cap
     /// leaves zero headroom; it does not fail recovery.
     ///
-    /// Replay is composition-aware and bit-exact: a head checkpoint seeds
-    /// the sequential fold with the snapshotted partial sum and recreates
-    /// each parallel group at its snapshotted maximum (in creation order);
-    /// tail grants then replay through the same update rules the live path
-    /// uses, so the rebuilt [`SharedAccountant::spent`] equals the
-    /// pre-crash in-memory value to the last bit — the *tight*
-    /// max-per-group bound, not the old conservative flat sum.
+    /// Replay is a bit-exact sequential fold: a head checkpoint seeds it
+    /// with the snapshotted partial sum, and tail grants then add on in file
+    /// order, so the rebuilt [`SharedAccountant::spent`] equals the
+    /// pre-crash in-memory value to the last bit.
     pub fn recovered(cap: Option<Epsilon>, writer: LedgerWriter, recovery: &Recovery) -> Self {
         let mut acc = match cap {
             Some(cap) => Accountant::with_cap(cap),
@@ -620,22 +571,10 @@ impl SharedAccountant {
             if ckpt.seq_spent > 0.0 {
                 acc.charge_replayed("ledger/checkpoint", ckpt.seq_spent);
             }
-            for group in &ckpt.groups {
-                acc.charge_replayed_parallel(
-                    group.name.clone(),
-                    "ledger/checkpoint".to_string(),
-                    group.max,
-                );
-            }
             granted.extend_from_slice(&ckpt.granted);
         }
         for grant in &recovery.grants {
-            match &grant.group {
-                None => acc.charge_replayed(grant.label.clone(), grant.epsilon),
-                Some(group) => {
-                    acc.charge_replayed_parallel(group.clone(), grant.label.clone(), grant.epsilon)
-                }
-            }
+            acc.charge_replayed(grant.label.clone(), grant.epsilon);
             if grant.request_id != NO_REQUEST {
                 granted.push(grant.request_id);
             }
@@ -763,7 +702,6 @@ impl SharedAccountant {
                 request_id: g.request_id,
                 epsilon: g.eps,
                 label: g.label.clone(),
-                group: None,
             })
             .collect();
         faultpoint::hit(SHARD_PRE_APPEND);
@@ -956,6 +894,8 @@ impl AccountantProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpx_runtime::ScratchDir;
+    use std::path::PathBuf;
 
     #[test]
     fn epsilon_rejects_bad_values() {
@@ -1187,12 +1127,11 @@ mod tests {
         assert_eq!(SharedAccountant::new().remaining(), None);
     }
 
-    fn wal_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dpx-budget-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// `name` inside a fresh scratch dir, which lives as long as the guard.
+    fn wal_path(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new("budget-test");
         let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
+        (dir, path)
     }
 
     /// A durable accountant over the WAL at `path`, recovered with `cap`.
@@ -1203,7 +1142,7 @@ mod tests {
 
     #[test]
     fn durable_spends_survive_recovery_and_skip_by_request_id() {
-        let path = wal_path("durable.wal");
+        let (_dir, path) = wal_path("durable.wal");
         let acc = durable(&path, 0.5);
         assert!(acc.is_durable());
         spend(&acc, 1, "request/1", 0.3).unwrap();
@@ -1231,7 +1170,7 @@ mod tests {
 
     #[test]
     fn replay_bypasses_cap_but_blocks_new_spends() {
-        let path = wal_path("overcap.wal");
+        let (_dir, path) = wal_path("overcap.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         writer
             .append(&[
@@ -1249,66 +1188,24 @@ mod tests {
         assert!(spend(&acc, NO_REQUEST, "more", 0.01).is_err());
     }
 
-    /// Grants tagged with a parallel-composition group.
-    fn group_grants(members: &[(&str, &str, f64)]) -> Vec<GrantRecord> {
-        members
-            .iter()
-            .map(|&(group, member, epsilon)| GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon,
-                label: format!("{group}/{member}"),
-                group: Some(group.to_string()),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn durable_parallel_spends_replay_tight_and_reclaim_epsilon() {
-        // The live in-memory rule: the group costs its max, 0.07.
-        let mut live = Accountant::with_cap(Epsilon::new(1.0).unwrap());
-        live.charge_parallel("hist", "c0", Epsilon::new(0.05).unwrap())
-            .unwrap();
-        live.charge_parallel("hist", "c1", Epsilon::new(0.07).unwrap())
-            .unwrap();
-        let path = wal_path("parallel.wal");
-        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        writer
-            .append(&group_grants(&[("hist", "c0", 0.05), ("hist", "c1", 0.07)]))
-            .unwrap();
-        drop(writer);
-
-        // The group-tagged log replays the same tight max-per-group bound.
-        let recovery = crate::ledger::recover(&path).unwrap();
-        assert!((recovery.spent() - 0.07).abs() < 1e-12);
-        assert_eq!(recovery.grants[0].label, "hist/c0");
-        assert_eq!(recovery.grants[0].group.as_deref(), Some("hist"));
-
-        // Replaying through an accountant reclaims the ε the old flat rule
-        // (0.05 + 0.07 = 0.12) used to burn: headroom is restored bit-exactly.
-        let resumed = durable(&path, 1.0);
-        assert_eq!(resumed.spent().to_bits(), live.spent().to_bits());
-        assert_eq!(resumed.remaining(), live.remaining());
-        let flat_sum: f64 = recovery.grants.iter().map(|g| g.epsilon).sum();
-        assert!(
-            resumed.spent() < flat_sum,
-            "tight replay {} must beat flat {}",
-            resumed.spent(),
-            flat_sum
-        );
-    }
-
     /// A crash+recover chain through checkpoints reproduces the live
-    /// accountant's spend to the last bit — the acceptance criterion for
-    /// composition-aware replay.
+    /// accountant's spend to the last bit.
     #[test]
     fn checkpointed_recovery_is_bit_exact_with_live_accountant() {
         // A deliberately round-off-prone history (0.1 and 0.3 are not
-        // exactly representable) interleaving sequential and grouped grants.
-        let path = wal_path("bitexact.wal");
+        // exactly representable), including a grant that belongs to no
+        // request.
+        let (_dir, path) = wal_path("bitexact.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        let mut history = vec![GrantRecord::for_request(1, 0.1)];
-        history.extend(group_grants(&[("cluster", "c0", 0.3)]));
-        history.push(GrantRecord::for_request(2, 0.1));
+        let history = vec![
+            GrantRecord::for_request(1, 0.1),
+            GrantRecord {
+                request_id: NO_REQUEST,
+                epsilon: 0.3,
+                label: "session/explain".to_string(),
+            },
+            GrantRecord::for_request(2, 0.1),
+        ];
         writer.append(&history).unwrap();
         drop(writer);
         let acc = durable(&path, 10.0);
@@ -1351,7 +1248,7 @@ mod tests {
 
     #[test]
     fn auto_checkpoint_policy_compacts_the_wal() {
-        let path = wal_path("autockpt.wal");
+        let (_dir, path) = wal_path("autockpt.wal");
         let acc = durable(&path, 10.0);
         acc.set_checkpoint_every(Some(3));
         for id in 1..=7u64 {
@@ -1378,7 +1275,7 @@ mod tests {
     #[test]
     fn group_commit_batches_grants_under_one_fsync_and_recovers_bit_exact() {
         const N: u64 = 8;
-        let path = wal_path("group-commit.wal");
+        let (_dir, path) = wal_path("group-commit.wal");
         let acc = durable(&path, 10.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 100_000,
@@ -1429,7 +1326,7 @@ mod tests {
     fn group_commit_admission_holds_cap_under_concurrency() {
         // 16 racing 0.1-spends against a 0.5 cap through the grouped path:
         // exactly 5 admitted, and the WAL holds exactly the accepted grants.
-        let path = wal_path("group-cap.wal");
+        let (_dir, path) = wal_path("group-cap.wal");
         let acc = durable(&path, 0.5);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 50_000,
@@ -1469,7 +1366,7 @@ mod tests {
 
     #[test]
     fn cancellable_spend_pre_checks_token_without_spending() {
-        let path = wal_path("group-cancel.wal");
+        let (_dir, path) = wal_path("group-cancel.wal");
         let acc = durable(&path, 1.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 1_000,
@@ -1488,7 +1385,8 @@ mod tests {
 
     #[test]
     fn disabled_group_commit_policy_keeps_per_grant_commits() {
-        let acc = durable(&wal_path("group-off.wal"), 1.0);
+        let (_dir, path) = wal_path("group-off.wal");
+        let acc = durable(&path, 1.0);
         // No policy at all: every commit is a batch of one.
         spend(&acc, 1, "request/1", 0.1).unwrap();
         // max_batch <= 1 means "no batching", whatever the wait says.
@@ -1509,7 +1407,8 @@ mod tests {
         // A zero window commits at once, however large max_batch is: three
         // sequential solo spends are three batches, none waiting for
         // followers that never come.
-        let acc = durable(&wal_path("group-solo.wal"), 1.0);
+        let (_dir, path) = wal_path("group-solo.wal");
+        let acc = durable(&path, 1.0);
         acc.set_group_commit(Some(GroupCommitPolicy {
             max_wait_us: 0,
             max_batch: 64,
@@ -1543,7 +1442,7 @@ mod tests {
 
     #[test]
     fn group_commit_auto_checkpoints_once_per_batch() {
-        let path = wal_path("group-ckpt.wal");
+        let (_dir, path) = wal_path("group-ckpt.wal");
         let acc = durable(&path, 10.0);
         acc.set_checkpoint_every(Some(2));
         acc.set_group_commit(Some(GroupCommitPolicy {

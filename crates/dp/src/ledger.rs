@@ -18,9 +18,9 @@
 //! record     := len:u32le  hcrc:u32le  payload  pcrc:u32le
 //! payload    := kind:u8  body
 //! grant body := request_id:u64le  epsilon:f64le-bits
-//!               label_len:u32le  label  group_len:u32le  group
+//!               label_len:u32le  label  group_len:u32le (= 0)
 //! ckpt body  := seq_spent:f64le-bits  n_granted:u32le  granted:u64le*
-//!               n_groups:u32le  (name_len:u32le name  max:f64le-bits)*
+//!               n_groups:u32le (= 0)
 //! ```
 //!
 //! `hcrc` is the CRC-32 of the 4 `len` bytes; `pcrc` is the CRC-32 of the
@@ -37,23 +37,21 @@
 //!   it would forget spent ε — so recovery fails with the typed
 //!   [`LedgerError::Corrupt`].
 //!
-//! Two v2 additions over the original `DPXWAL01` format (no longer read: a
-//! v1 file fails with [`LedgerError::BadMagic`] and is left untouched):
+//! The v2 format adds **checkpoints** over the original `DPXWAL01` format
+//! (no longer read: a v1 file fails with [`LedgerError::BadMagic`] and is
+//! left untouched). [`LedgerWriter::checkpoint`] atomically replaces the log
+//! with `magic + one checkpoint record` capturing the accountant's bit-exact
+//! state (the sequential sum and the granted request ids for resume). The
+//! checkpoint is written to a sibling tmp file, synced, then `rename`d over
+//! the log — a kill at any instruction leaves either the full history or the
+//! compacted file, both recovering the exact same spend. A checkpoint record
+//! is only valid immediately after the magic; anywhere else it is typed
+//! corruption.
 //!
-//! * **Grants carry their parallel-composition group.** A grant charged
-//!   under parallel composition (disjoint input partitions, Proposition 2.1)
-//!   records its group name, so replay reconstructs the *tight*
-//!   max-per-group bound instead of conservatively flat-summing — a real
-//!   refund of ε capacity after a restart.
-//! * **Checkpoints bound replay.** [`LedgerWriter::checkpoint`] atomically
-//!   replaces the log with `magic + one checkpoint record` capturing the
-//!   accountant's bit-exact state (sequential partial sum, per-group maxima
-//!   in group-creation order, and the granted request ids for resume). The
-//!   checkpoint is written to a sibling tmp file, synced, then `rename`d
-//!   over the log — a kill at any instruction leaves either the full
-//!   history or the compacted file, both recovering the exact same spend.
-//!   A checkpoint record is only valid immediately after the magic;
-//!   anywhere else it is typed corruption.
+//! `group_len` and `n_groups` are reserved zeros: every durable grant
+//! composes sequentially, so replay is a plain left fold. The writer always
+//! emits them as zero, and a non-zero value is typed corruption: no serving
+//! path ever wrote one.
 //!
 //! The request-id column exists for resume: a restarted server skips requests
 //! whose ids already hold a grant (their ε is reserved; re-execution is
@@ -83,8 +81,7 @@ pub const NO_REQUEST: u64 = u64::MAX;
 const KIND_GRANT: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
 
-/// One durable grant: a request id, the ε it reserved, its audit label, and
-/// the parallel-composition group it was charged under (if any).
+/// One durable grant: a request id, the ε it reserved, and its audit label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrantRecord {
     /// The serving request this grant belongs to ([`NO_REQUEST`] if none).
@@ -93,9 +90,6 @@ pub struct GrantRecord {
     pub epsilon: f64,
     /// Audit label (e.g. `"request/7"`).
     pub label: String,
-    /// Parallel-composition group, or `None` for a sequential charge.
-    /// Replay composes grants of one group by maximum, not by sum.
-    pub group: Option<String>,
 }
 
 impl GrantRecord {
@@ -106,7 +100,6 @@ impl GrantRecord {
             request_id,
             epsilon,
             label: format!("request/{request_id}"),
-            group: None,
         }
     }
 }
@@ -119,20 +112,8 @@ pub struct CheckpointRecord {
     /// `seq_spent + tail…` performs the identical float additions.
     pub seq_spent: f64,
     /// Request ids holding durable grants at checkpoint time (the resume
-    /// skip-set; [`NO_REQUEST`] grants are folded into the sums instead).
+    /// skip-set; [`NO_REQUEST`] grants are folded into the sum instead).
     pub granted: Vec<u64>,
-    /// Per-group running maxima, in group-creation order (the order the
-    /// accountant adds them back up in).
-    pub groups: Vec<GroupSnapshot>,
-}
-
-/// One parallel-composition group's replayed state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSnapshot {
-    /// The group name (a partition id, e.g. `"cluster/3"`).
-    pub name: String,
-    /// The bit-exact running maximum ε charged under the group.
-    pub max: f64,
 }
 
 /// A ledger failure, split by what the operator must do about it.
@@ -209,31 +190,13 @@ impl Recovery {
         }
     }
 
-    /// Replayed spend under the same composition rules the live accountant
-    /// applies: sequential grants sum (continuing the checkpoint's exact
-    /// partial sum), grants of one parallel group compose by maximum, and
-    /// group maxima are added in group-creation order. The result is
-    /// bit-exact with the in-memory `Accountant::spent()` the grants were
-    /// charged on — the replayed bound is *tight*, not conservative.
+    /// Replayed spend: a left fold of the tail grants seeded with the
+    /// checkpoint's exact partial sum — the same float additions, in the
+    /// same order, as the in-memory `Accountant::spent()` the grants were
+    /// charged on, so the result is bit-exact with it.
     pub fn spent(&self) -> f64 {
-        let mut seq = self.checkpoint.as_ref().map_or(0.0, |c| c.seq_spent);
-        let mut groups: Vec<(&str, f64)> = self.checkpoint.as_ref().map_or_else(Vec::new, |c| {
-            c.groups.iter().map(|g| (g.name.as_str(), g.max)).collect()
-        });
-        for g in &self.grants {
-            match g.group.as_deref() {
-                None => seq += g.epsilon,
-                Some(name) => match groups.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, max)) => {
-                        if g.epsilon > *max {
-                            *max = g.epsilon;
-                        }
-                    }
-                    None => groups.push((name, g.epsilon)),
-                },
-            }
-        }
-        groups.iter().fold(seq, |acc, (_, m)| acc + m)
+        let seed = self.checkpoint.as_ref().map_or(0.0, |c| c.seq_spent);
+        self.grants.iter().fold(seed, |acc, g| acc + g.epsilon)
     }
 
     /// Request ids holding durable grants (checkpointed and tail), with
@@ -299,7 +262,8 @@ fn encode_grant_payload(grant: &GrantRecord) -> Vec<u8> {
     payload.extend_from_slice(&grant.request_id.to_le_bytes());
     payload.extend_from_slice(&grant.epsilon.to_bits().to_le_bytes());
     push_str(&mut payload, &grant.label);
-    push_str(&mut payload, grant.group.as_deref().unwrap_or(""));
+    // The reserved, always-empty group name.
+    payload.extend_from_slice(&0u32.to_le_bytes());
     payload
 }
 
@@ -311,11 +275,8 @@ fn encode_checkpoint_payload(ckpt: &CheckpointRecord) -> Vec<u8> {
     for id in &ckpt.granted {
         payload.extend_from_slice(&id.to_le_bytes());
     }
-    payload.extend_from_slice(&(ckpt.groups.len() as u32).to_le_bytes());
-    for group in &ckpt.groups {
-        push_str(&mut payload, &group.name);
-        payload.extend_from_slice(&group.max.to_bits().to_le_bytes());
-    }
+    // The reserved, always-empty group list.
+    payload.extend_from_slice(&0u32.to_le_bytes());
     payload
 }
 
@@ -418,7 +379,9 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
             let request_id = cur.u64("grant request id")?;
             let epsilon = cur.f64("grant epsilon")?;
             let label = cur.string("grant label")?;
-            let group = cur.string("grant group")?;
+            if cur.u32("grant group length")? != 0 {
+                return Err(cur.corrupt("grant carries a parallel-composition group"));
+            }
             cur.finish()?;
             if !(epsilon.is_finite() && epsilon > 0.0) {
                 return Err(cur.corrupt("grant epsilon is not finite and positive"));
@@ -427,7 +390,6 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
                 request_id,
                 epsilon,
                 label,
-                group: if group.is_empty() { None } else { Some(group) },
             }))
         }
         KIND_CHECKPOINT => {
@@ -440,25 +402,11 @@ fn decode_payload_v2(payload: &[u8], offset: u64) -> Result<Record, LedgerError>
             for _ in 0..n_granted {
                 granted.push(cur.u64("checkpoint granted id")?);
             }
-            let n_groups = cur.u32("checkpoint group count")?;
-            let mut groups = Vec::with_capacity(n_groups.min(1 << 16) as usize);
-            for _ in 0..n_groups {
-                let name = cur.string("checkpoint group name")?;
-                let max = cur.f64("checkpoint group max")?;
-                if name.is_empty() {
-                    return Err(cur.corrupt("checkpoint group name is empty"));
-                }
-                if !(max.is_finite() && max > 0.0) {
-                    return Err(cur.corrupt("checkpoint group max is not finite and positive"));
-                }
-                groups.push(GroupSnapshot { name, max });
+            if cur.u32("checkpoint group count")? != 0 {
+                return Err(cur.corrupt("checkpoint carries parallel-composition groups"));
             }
             cur.finish()?;
-            Ok(Record::Checkpoint(CheckpointRecord {
-                seq_spent,
-                granted,
-                groups,
-            }))
+            Ok(Record::Checkpoint(CheckpointRecord { seq_spent, granted }))
         }
         kind => Err(cur.corrupt(&format!("unknown record kind {kind}"))),
     }
@@ -688,11 +636,13 @@ impl LedgerWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpx_runtime::ScratchDir;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dpx-ledger-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// `name` inside a fresh scratch dir, which lives as long as the guard.
+    fn tmp(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new("ledger-test");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn sample_grants() -> Vec<GrantRecord> {
@@ -703,7 +653,6 @@ mod tests {
                 request_id: NO_REQUEST,
                 epsilon: 0.25,
                 label: "session/explain ε·λ".to_string(), // non-ASCII label
-                group: None,
             },
         ]
     }
@@ -712,16 +661,6 @@ mod tests {
         CheckpointRecord {
             seq_spent: 1.7000000000000002, // a non-representable-sum bit pattern
             granted: vec![1, 2, 9],
-            groups: vec![
-                GroupSnapshot {
-                    name: "cluster/0".to_string(),
-                    max: 0.25,
-                },
-                GroupSnapshot {
-                    name: "cluster/1".to_string(),
-                    max: 0.125,
-                },
-            ],
         }
     }
 
@@ -734,7 +673,7 @@ mod tests {
 
     #[test]
     fn write_then_recover_roundtrips() {
-        let path = tmp("roundtrip.wal");
+        let (_dir, path) = tmp("roundtrip.wal");
         let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
         assert!(recovery.grants.is_empty());
         for g in sample_grants() {
@@ -751,41 +690,8 @@ mod tests {
     }
 
     #[test]
-    fn grouped_grants_roundtrip_and_replay_tight() {
-        let path = tmp("groups.wal");
-        let (mut writer, _) = LedgerWriter::open(&path).unwrap();
-        let grants = vec![
-            GrantRecord::for_request(1, 0.5),
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.2,
-                label: "hist/a".to_string(),
-                group: Some("cluster/0".to_string()),
-            },
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.3,
-                label: "hist/b".to_string(),
-                group: Some("cluster/0".to_string()),
-            },
-            GrantRecord {
-                request_id: NO_REQUEST,
-                epsilon: 0.1,
-                label: "hist/c".to_string(),
-                group: Some("cluster/1".to_string()),
-            },
-        ];
-        writer.append(&grants).unwrap();
-        drop(writer);
-        let recovered = recover(&path).unwrap();
-        assert_eq!(recovered.grants, grants);
-        // Tight: 0.5 + max(0.2, 0.3) + 0.1, not the flat 1.1 sum.
-        assert!((recovered.spent() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
     fn checkpoint_compacts_and_preserves_state() {
-        let path = tmp("ckpt.wal");
+        let (_dir, path) = tmp("ckpt.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
             writer.append(&[g]).unwrap();
@@ -807,7 +713,7 @@ mod tests {
             recovered.granted_ids().collect::<Vec<_>>(),
             vec![1, 2, 9, 4]
         );
-        let expected = ((ckpt.seq_spent + 0.125) + 0.25) + 0.125;
+        let expected = ckpt.seq_spent + 0.125;
         assert_eq!(recovered.spent().to_bits(), expected.to_bits());
 
         // The compacted file is tiny and reopens cleanly.
@@ -834,7 +740,7 @@ mod tests {
 
     #[test]
     fn stale_checkpoint_tmp_is_swept_on_open() {
-        let path = tmp("stale-tmp.wal");
+        let (_dir, path) = tmp("stale-tmp.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         writer.append(&[GrantRecord::for_request(1, 0.5)]).unwrap();
         drop(writer);
@@ -848,8 +754,8 @@ mod tests {
 
     #[test]
     fn batch_append_is_bytewise_identical_to_single_appends() {
-        let batched = tmp("batch.wal");
-        let single = tmp("single.wal");
+        let (_batched_dir, batched) = tmp("batch.wal");
+        let (_single_dir, single) = tmp("single.wal");
         let (mut bw, _) = LedgerWriter::open(&batched).unwrap();
         let (mut sw, _) = LedgerWriter::open(&single).unwrap();
         bw.append(&sample_grants()).unwrap();
@@ -882,7 +788,7 @@ mod tests {
             payload.extend_from_slice(label);
             bytes.extend_from_slice(&frame_record(payload));
         }
-        let path = tmp("v1.wal");
+        let (_dir, path) = tmp("v1.wal");
         std::fs::write(&path, &bytes).unwrap();
 
         assert_eq!(recover(&path).unwrap_err(), LedgerError::BadMagic);
@@ -897,9 +803,70 @@ mod tests {
         );
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn records_encode_to_pinned_v2_bytes() {
+        // Framed v2 records, pinned byte for byte: the reserved group fields
+        // are the zero `u32`s just before each trailing payload CRC.
+        assert_eq!(
+            hex(&encode_record(&GrantRecord::for_request(7, 0.3))),
+            "22000000a9b87f2b010700000000000000333333333333d33f09000000\
+             726571756573742f3700000000f8d4d971"
+        );
+        let ckpt = CheckpointRecord {
+            seq_spent: 1.7000000000000002,
+            granted: vec![1, 2, 9],
+        };
+        assert_eq!(
+            hex(&encode_checkpoint_record(&ckpt)),
+            "29000000a83f7efc02343333333333fb3f030000000100000000000000\
+             0200000000000000090000000000000000000000eed851d9"
+        );
+    }
+
+    #[test]
+    fn grouped_records_are_refused_and_left_untouched() {
+        // Hand-encoded v2 records with the reserved group fields filled in:
+        // a grant naming a group, and a head checkpoint with one group max.
+        let mut grant = vec![KIND_GRANT];
+        grant.extend_from_slice(&1u64.to_le_bytes());
+        grant.extend_from_slice(&0.2f64.to_bits().to_le_bytes());
+        push_str(&mut grant, "hist/c0");
+        push_str(&mut grant, "cluster/0");
+        let mut ckpt = vec![KIND_CHECKPOINT];
+        ckpt.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        ckpt.extend_from_slice(&0u32.to_le_bytes());
+        ckpt.extend_from_slice(&1u32.to_le_bytes());
+        push_str(&mut ckpt, "cluster/0");
+        ckpt.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+
+        for (name, payload) in [("grant", grant), ("checkpoint", ckpt)] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&frame_record(payload));
+            let (_dir, path) = tmp("grouped.wal");
+            std::fs::write(&path, &bytes).unwrap();
+            for err in [
+                recover(&path).unwrap_err(),
+                LedgerWriter::open(&path).unwrap_err(),
+            ] {
+                match err {
+                    LedgerError::Corrupt { offset, detail } => {
+                        assert_eq!(offset, MAGIC.len() as u64, "{name}");
+                        assert!(detail.contains("group"), "{name}: {detail}");
+                    }
+                    other => panic!("{name}: expected Corrupt, got {other:?}"),
+                }
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name} file changed");
+        }
+    }
+
     #[test]
     fn reopen_appends_after_existing_records() {
-        let path = tmp("reopen.wal");
+        let (_dir, path) = tmp("reopen.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         writer.append(&[GrantRecord::for_request(1, 0.5)]).unwrap();
         drop(writer);
@@ -914,7 +881,8 @@ mod tests {
 
     #[test]
     fn missing_file_recovers_empty() {
-        let recovery = recover(&tmp("never-written.wal")).unwrap();
+        let (_dir, path) = tmp("never-written.wal");
+        let recovery = recover(&path).unwrap();
         assert!(recovery.grants.is_empty());
         assert!(recovery.checkpoint.is_none());
         assert_eq!(recovery.truncated_bytes, 0);
@@ -922,7 +890,7 @@ mod tests {
 
     #[test]
     fn torn_tail_truncates_to_last_valid_record() {
-        let path = tmp("torn.wal");
+        let (_dir, path) = tmp("torn.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
             writer.append(&[g]).unwrap();
@@ -947,7 +915,7 @@ mod tests {
 
     #[test]
     fn interior_bitflip_is_typed_corruption() {
-        let path = tmp("bitflip.wal");
+        let (_dir, path) = tmp("bitflip.wal");
         let (mut writer, _) = LedgerWriter::open(&path).unwrap();
         for g in sample_grants() {
             writer.append(&[g]).unwrap();
@@ -967,7 +935,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_rejected_not_recovered() {
-        let path = tmp("magic.wal");
+        let (_dir, path) = tmp("magic.wal");
         std::fs::write(&path, b"definitely not a ledger file").unwrap();
         assert_eq!(recover(&path).unwrap_err(), LedgerError::BadMagic);
         assert!(LedgerWriter::open(&path).is_err(), "open must not clobber");
@@ -995,7 +963,6 @@ mod tests {
             request_id: 1,
             epsilon: -0.5,
             label: "x".to_string(),
-            group: None,
         };
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&encode_record(&bad));

@@ -65,8 +65,6 @@ pub use counter::{gumbel_at, CounterRng};
 pub use error::DpError;
 pub use exponential::exponential_mechanism;
 pub use histogram::{GeometricHistogram, HistogramMechanism, LaplaceHistogram};
-pub use ledger::{
-    CheckpointRecord, GrantRecord, GroupSnapshot, LedgerError, LedgerWriter, Recovery, NO_REQUEST,
-};
+pub use ledger::{CheckpointRecord, GrantRecord, LedgerError, LedgerWriter, Recovery, NO_REQUEST};
 pub use shards::{AccountantShards, ShardConfig};
 pub use topk::one_shot_top_k;

@@ -226,13 +226,7 @@ fn escape_name(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::ledger::NO_REQUEST;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("dpx-shards-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use dpx_runtime::ScratchDir;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -262,9 +256,9 @@ mod tests {
 
     #[test]
     fn durable_shards_get_separate_wals_and_recover() {
-        let dir = tmp_dir("recover");
+        let dir = ScratchDir::new("shards-test");
         {
-            let shards = AccountantShards::in_dir(&dir).unwrap();
+            let shards = AccountantShards::in_dir(dir.path()).unwrap();
             assert!(shards.is_durable());
             let a = shards
                 .open("census", ShardConfig::capped(eps(1.0)))
@@ -284,7 +278,7 @@ mod tests {
         }
         // A fresh process: shards recover their own spends from their own
         // WALs, and only theirs.
-        let shards = AccountantShards::in_dir(&dir).unwrap();
+        let shards = AccountantShards::in_dir(dir.path()).unwrap();
         let a = shards
             .open("census", ShardConfig::capped(eps(1.0)))
             .unwrap();
@@ -299,8 +293,8 @@ mod tests {
 
     #[test]
     fn checkpoint_policy_is_threaded_through_config() {
-        let dir = tmp_dir("ckpt");
-        let shards = AccountantShards::in_dir(&dir).unwrap();
+        let dir = ScratchDir::new("shards-test");
+        let shards = AccountantShards::in_dir(dir.path()).unwrap();
         let shard = shards
             .open(
                 "census",

@@ -11,7 +11,8 @@
 //!   [`LedgerError::Corrupt`] — never a panic, never silent acceptance.
 
 use dpx_dp::ledger::{recover, GrantRecord, LedgerError, LedgerWriter, MAGIC, NO_REQUEST};
-use std::path::PathBuf;
+use dpx_runtime::ScratchDir;
+use std::path::{Path, PathBuf};
 
 /// SplitMix64 — tiny, seeded, and good enough to exercise the format.
 struct Prng(u64);
@@ -44,49 +45,28 @@ impl Prng {
                 ALPHABET[self.below(8) as usize]
             })
             .collect();
-        // A third of grants are parallel-composition members spread over a
-        // few group names, so replay exercises the max-per-group rule.
-        let group = match self.below(3) {
-            0 => Some(format!("group/{}", self.below(4))),
-            _ => None,
-        };
         GrantRecord {
             request_id,
             epsilon,
             label,
-            group,
         }
     }
 }
 
-/// The tight composition bound the recovered spend must equal: sequential
-/// grants sum, grouped grants contribute their per-group maximum.
-fn tight_spent(grants: &[GrantRecord]) -> f64 {
-    let seq: f64 = grants
-        .iter()
-        .filter(|g| g.group.is_none())
-        .map(|g| g.epsilon)
-        .sum();
-    let mut groups: Vec<(&str, f64)> = Vec::new();
-    for g in grants {
-        if let Some(name) = g.group.as_deref() {
-            match groups.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, max)) => *max = max.max(g.epsilon),
-                None => groups.push((name, g.epsilon)),
-            }
-        }
-    }
-    seq + groups.iter().map(|(_, m)| m).sum::<f64>()
+/// The spend the recovery must equal: every grant composes sequentially,
+/// summed in file order.
+fn sequential_spent(grants: &[GrantRecord]) -> f64 {
+    grants.iter().fold(0.0, |acc, g| acc + g.epsilon)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dpx-ledger-prop-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// `name` inside a fresh scratch dir, which lives as long as the guard.
+fn tmp(name: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new("ledger-prop");
+    let path = dir.join(name);
+    (dir, path)
 }
 
-fn write_grants(path: &PathBuf, grants: &[GrantRecord]) {
-    let _ = std::fs::remove_file(path);
+fn write_grants(path: &Path, grants: &[GrantRecord]) {
     let (mut writer, recovery) = LedgerWriter::open(path).unwrap();
     assert!(recovery.grants.is_empty());
     writer.append(grants).unwrap();
@@ -97,14 +77,14 @@ fn random_grant_sequences_roundtrip() {
     let mut rng = Prng(0xD5C1_05F1);
     for case in 0..64 {
         let grants: Vec<GrantRecord> = (0..rng.below(12)).map(|_| rng.grant()).collect();
-        let path = tmp("roundtrip.wal");
+        let (_dir, path) = tmp("roundtrip.wal");
         write_grants(&path, &grants);
         let recovery = recover(&path).unwrap();
         assert_eq!(recovery.grants, grants, "case {case}");
         assert_eq!(recovery.truncated_bytes, 0, "case {case}");
-        let expected = tight_spent(&grants);
-        assert!(
-            (recovery.spent() - expected).abs() <= 1e-9 * expected.max(1.0),
+        assert_eq!(
+            recovery.spent().to_bits(),
+            sequential_spent(&grants).to_bits(),
             "case {case}"
         );
     }
@@ -114,8 +94,7 @@ fn random_grant_sequences_roundtrip() {
 fn random_sequences_survive_reopen_append_cycles() {
     let mut rng = Prng(0xFEED_BEEF);
     for case in 0..16 {
-        let path = tmp("cycles.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("cycles.wal");
         let mut all: Vec<GrantRecord> = Vec::new();
         for _ in 0..4 {
             let (mut writer, recovery) = LedgerWriter::open(&path).unwrap();
@@ -134,18 +113,18 @@ fn random_sequences_survive_reopen_append_cycles() {
 fn truncation_at_every_tail_byte_recovers_the_prefix() {
     let mut rng = Prng(0x7041_1041);
     let grants: Vec<GrantRecord> = (0..4).map(|_| rng.grant()).collect();
-    let path = tmp("torn.wal");
+    let (_dir, path) = tmp("torn.wal");
     write_grants(&path, &grants);
     let full = std::fs::read(&path).unwrap();
 
     // Locate the tail record's start by re-measuring the first three.
-    let prefix_path = tmp("torn-prefix.wal");
+    let (_prefix_dir, prefix_path) = tmp("torn-prefix.wal");
     write_grants(&prefix_path, &grants[..3]);
     let tail_start = std::fs::read(&prefix_path).unwrap().len();
     assert!(tail_start < full.len());
 
     for cut in tail_start..full.len() {
-        let torn_path = tmp("torn-cut.wal");
+        let (_torn_dir, torn_path) = tmp("torn-cut.wal");
         std::fs::write(&torn_path, &full[..cut]).unwrap();
         let recovery = recover(&torn_path)
             .unwrap_or_else(|e| panic!("cut at byte {cut} must be a torn tail, not an error: {e}"));
@@ -168,11 +147,11 @@ fn truncation_at_every_tail_byte_recovers_the_prefix() {
 fn bitflip_in_any_interior_byte_is_typed_corruption() {
     let mut rng = Prng(0xB17F_11B5);
     let grants: Vec<GrantRecord> = (0..3).map(|_| rng.grant()).collect();
-    let path = tmp("flip.wal");
+    let (_dir, path) = tmp("flip.wal");
     write_grants(&path, &grants);
     let full = std::fs::read(&path).unwrap();
 
-    let interior_path = tmp("flip-interior.wal");
+    let (_interior_dir, interior_path) = tmp("flip-interior.wal");
     write_grants(&interior_path, &grants[..2]);
     let interior_end = std::fs::read(&interior_path).unwrap().len();
 
@@ -202,7 +181,7 @@ fn bitflip_in_any_interior_byte_is_typed_corruption() {
 #[test]
 fn bitflip_in_magic_is_bad_magic() {
     let grants = vec![GrantRecord::for_request(1, 0.25)];
-    let path = tmp("flip-magic.wal");
+    let (_dir, path) = tmp("flip-magic.wal");
     write_grants(&path, &grants);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[3] ^= 0x01;

@@ -48,6 +48,11 @@
 //! * [`queue`] — a [`BoundedTenantQueue`]: bounded per-tenant lanes with
 //!   weighted round-robin dequeue, so backpressure is per tenant and one
 //!   noisy tenant cannot starve the rest of the rotation.
+//!
+//! Tests share one helper:
+//!
+//! * [`scratch`] — a [`ScratchDir`]: a unique, initially empty temp
+//!   directory removed on drop, so file-system tests stay isolated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +62,7 @@ pub mod cancel;
 pub mod faultpoint;
 pub mod parallel;
 pub mod queue;
+pub mod scratch;
 pub mod singleflight;
 
 pub use batch::{BatchWindow, Batcher, Submit};
@@ -66,4 +72,5 @@ pub use parallel::{
     pairwise_merge,
 };
 pub use queue::{BoundedTenantQueue, PushError};
+pub use scratch::ScratchDir;
 pub use singleflight::{Claim, FlightGuard, SingleFlight};

@@ -100,17 +100,6 @@ impl DatasetEntry {
         Self::with_shared(name, data, Arc::new(accountant))
     }
 
-    /// Builds an entry around `data` with a caller-provided accountant —
-    /// the crash-safe serving path uses this to install an accountant
-    /// rebuilt from a recovered write-ahead ledger.
-    pub fn with_accountant(
-        name: impl Into<String>,
-        data: Arc<Dataset>,
-        accountant: SharedAccountant,
-    ) -> Self {
-        Self::with_shared(name, data, Arc::new(accountant))
-    }
-
     /// Builds an entry around an already-shared accountant — the handle a
     /// shard map hands out, so the entry and the shard map observe the very
     /// same budget.
@@ -279,28 +268,6 @@ impl DatasetRegistry {
         let entry = Arc::new(DatasetEntry::with_shared(name.clone(), data, shard));
         self.lock().insert(name, Arc::clone(&entry));
         Ok(entry)
-    }
-
-    /// Registers `data` under `name` with a caller-provided accountant (see
-    /// [`DatasetEntry::with_accountant`]), replacing any previous entry.
-    /// The accountant lives outside the shard map; prefer
-    /// [`DatasetRegistry::register_sharded`] unless the accountant truly
-    /// cannot come from a shard.
-    pub fn register_with(
-        &self,
-        name: impl Into<String>,
-        data: Arc<Dataset>,
-        accountant: SharedAccountant,
-    ) -> Arc<DatasetEntry> {
-        let name = name.into();
-        self.shards.evict(&name);
-        let entry = Arc::new(DatasetEntry::with_accountant(
-            name.clone(),
-            data,
-            accountant,
-        ));
-        self.lock().insert(name, Arc::clone(&entry));
-        entry
     }
 
     /// The entry registered under `name`, if any.

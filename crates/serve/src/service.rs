@@ -374,6 +374,14 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
         }
         let total = Epsilon::new(request.total_epsilon())
             .map_err(|e| ServeFailure::plain(e.to_string()))?;
+        // A request whose fields the engine would reject takes no grant. It
+        // still runs: the engine memoizes its clustering's counts (ε-free),
+        // then fails with this same validation error before any mechanism
+        // draws noise, so the request spends nothing.
+        let valid = request
+            .config()
+            .validate(entry.data().schema().arity())
+            .is_ok();
         // The deadline token is minted BEFORE the spend so that it bounds the
         // whole serving path: time queued behind a group-commit batch, time
         // blocked on another request's in-flight counts build, and the
@@ -384,12 +392,12 @@ impl<M: HistogramMechanism + Sync> ExplainService<M> {
             .deadline_ms
             .or(self.opts.deadline_ms)
             .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));
-        if self.opts.granted.contains(&request.id) {
-            // This id already holds a durable grant from a crashed run: its ε
-            // is reserved, so spending again would double-charge the cap.
-            // Re-execution is free — the pipeline is a pure function of the
-            // request, so the response equals the one the crash destroyed.
-        } else {
+        // An id that already holds a durable grant from a crashed run skips
+        // the spend: its ε is reserved, so spending again would
+        // double-charge the cap. Re-execution is free — the pipeline is a
+        // pure function of the request, so the response equals the one the
+        // crash destroyed.
+        if valid && !self.opts.granted.contains(&request.id) {
             faultpoint::hit(SERVICE_PRE_SPEND);
             // The whole request budget is reserved in ONE atomic operation
             // before any private computation starts (durably so when the
@@ -597,18 +605,55 @@ mod tests {
             .unwrap_err()
             .contains("positive"));
 
-        let mut req = ExplainRequest::new(4);
-        req.eps_hist = None; // selection-only config cannot drive the full pipeline
-        let err = service.execute(&req).outcome.unwrap_err();
-        assert!(err.contains("epsilon"), "got: {err}");
-
-        // 3^41 Stage-2 combinations overflow u64: refused before the grant.
+        // Requests bound to fail take no grant, so they spend zero ε: 3^41
+        // Stage-2 combinations overflow u64, and the engine would reject
+        // each of the other fields (a selection-only config cannot drive the
+        // full pipeline).
         let spent = registry.get("default").unwrap().accountant().spent();
-        let mut req = ExplainRequest::new(5);
-        req.n_clusters = 41;
-        let err = service.execute(&req).outcome.unwrap_err();
-        assert!(err.contains("exceeds u64"), "got: {err}");
-        assert_eq!(registry.get("default").unwrap().accountant().spent(), spent);
+        let bad = [
+            ExplainRequest {
+                n_clusters: 41,
+                ..ExplainRequest::new(4)
+            },
+            ExplainRequest {
+                k: 0,
+                ..ExplainRequest::new(5)
+            },
+            ExplainRequest {
+                k: 99,
+                ..ExplainRequest::new(6)
+            },
+            ExplainRequest {
+                eps_cand: 0.0,
+                ..ExplainRequest::new(7)
+            },
+            ExplainRequest {
+                eps_comb: -0.05,
+                ..ExplainRequest::new(8)
+            },
+            ExplainRequest {
+                eps_hist: None,
+                ..ExplainRequest::new(9)
+            },
+        ];
+        let expected = [
+            "exceeds u64",
+            "requested top-0 from only",
+            "requested top-99 from only",
+            "epsilon must be finite and > 0, got 0",
+            "got -0.05",
+            "got NaN",
+        ];
+        for (req, expected) in bad.iter().zip(expected) {
+            let err = service.execute(req).outcome.unwrap_err();
+            assert!(err.contains(expected), "request {} got: {err}", req.id);
+            assert_eq!(
+                registry.get("default").unwrap().accountant().spent(),
+                spent,
+                "request {} spent ε",
+                req.id
+            );
+        }
     }
 
     #[test]
